@@ -206,7 +206,11 @@ def _cmd_certify(args: argparse.Namespace) -> dict:
     )
     if args.query:
         query = _parse_query(args.query, functional)
-        cert = certify_uniform(functional, generators, query)
+    else:
+        query = JointQuery(functional.scenario.input_tuple(0))
+    # both branches report the certificate's (reduced) generator count
+    cert = certify_uniform(functional, generators, query)
+    if args.query:
         report = certified_report(cert, query)
         return {
             "functional": functional.name,
@@ -217,10 +221,12 @@ def _cmd_certify(args: argparse.Namespace) -> dict:
             "assumes_unique_maximizer": True,
             "assumption": cert.assumption,
         }
-    sweep = certify_all(functional, generators)
+    # the kept generators generate the same group, so this sweep equals the
+    # sweep over every symmetry found
+    sweep = certify_all(functional, cert.generators)
     return {
         "functional": functional.name,
-        "generator_count": len(generators),
+        "generator_count": len(cert.generators),
         "joint_bits": {
             _query_key(q): b for q, b in sweep.items() if isinstance(q, JointQuery)
         },

@@ -377,6 +377,10 @@ def optimize_violation(
     dim = 2**sc.parties
     if dim > MAX_QUBIT_DIMENSION:
         raise ValidationError(f"total dimension {dim} exceeds {MAX_QUBIT_DIMENSION}")
+    if restarts < 1:
+        raise ValidationError(f"restarts must be at least 1, got {restarts}")
+    if max_iters < 1:
+        raise ValidationError(f"max_iters must be at least 1, got {max_iters}")
     sign = 1.0 if functional.orientation == "max" else -1.0
     table = functional.float_table
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -33,10 +34,14 @@ from .scenario import (
     Scenario,
     ScenarioMismatchError,
     ValidationError,
+    marginal,
 )
 
 DEFAULT_SEARCH_CAP = 10**8
 GENERATOR_REDUCTION_THRESHOLD = 64
+# upper bound on the elements of one batched table of event images: the
+# symmetry search and generator verification work in chunks of this size
+_GATHER_ELEMENTS = 1 << 14
 
 
 def _check_perm(perm: Sequence[int], size: int, what: str) -> tuple[int, ...]:
@@ -293,14 +298,56 @@ def _party_candidates(m: int, d: int) -> list[tuple[tuple[int, ...], tuple[tuple
     return blocks
 
 
+def _party_perms(scenario: Scenario, include_party_perms: bool) -> list[tuple[int, ...]]:
+    """Party permutations the search scans: those preserving setting counts."""
+    identity = tuple(range(scenario.parties))
+    if not include_party_perms:
+        return [identity]
+    return [
+        pi
+        for pi in itertools.permutations(identity)
+        if all(scenario.settings[i] == scenario.settings[pi[i]] for i in identity)
+    ]
+
+
 def search_space_size(scenario: Scenario, include_party_perms: bool = False) -> int:
+    """Number of relabelings :func:`find_symmetries` scans.
+
+    With party permutations this counts only those that preserve per-party
+    setting counts (the length of ``_party_perms``), without listing them.
+    """
     size = math.prod(
         math.factorial(m) * math.factorial(scenario.outcomes) ** m
         for m in scenario.settings
     )
     if include_party_perms:
-        size *= math.factorial(scenario.parties)
+        size *= math.prod(
+            math.factorial(k) for k in Counter(scenario.settings).values()
+        )
     return size
+
+
+def _block_images(
+    scenario: Scenario, party: int, blocks: Sequence[tuple]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Image setting (B, inputs) and image outcome (B, inputs, outcomes) of one
+    party at every joint event, for each of its B candidate blocks."""
+    m, d = scenario.settings[party], scenario.outcomes
+    sigma = np.array([b[0] for b in blocks], dtype=np.int64).reshape(len(blocks), m)
+    tau = np.array([b[1] for b in blocks], dtype=np.int64).reshape(len(blocks), m, d)
+    image_setting = sigma[:, scenario.input_digits[:, party]]
+    rows = np.arange(len(blocks))[:, None, None]
+    image_outcome = tau[rows, image_setting[:, :, None], scenario.outcome_digits[:, party]]
+    return image_setting, image_outcome
+
+
+def _fixes(dense: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """Which rows of event images (k, events) leave the flat table invariant.
+
+    For a bijective event map, ``dense[image] == dense`` everywhere is the
+    same condition as the scattered table equalling the original.
+    """
+    return (dense[images] == dense).all(axis=-1)
 
 
 def find_symmetries(
@@ -308,11 +355,14 @@ def find_symmetries(
     include_party_perms: bool = False,
     cap: int = DEFAULT_SEARCH_CAP,
 ) -> tuple[Relabeling, ...]:
-    """Complete list of nontrivial symmetries of a functional, by brute force.
+    """Complete list of nontrivial symmetries of a functional, by exhaustive search.
 
     Scans every relabeling of the scenario (optionally including party
     permutations) and keeps those leaving the coefficient table exactly
-    invariant; the identity is excluded.  Raises
+    invariant; the identity is excluded.  Leading parties are enumerated one
+    block at a time; the trailing parties' blocks are stacked and tested in
+    batched gathers of bounded size.  The order is that of the nested loop
+    over party permutations and then each party's blocks.  Raises
     :class:`SearchCapExceededError` when the space exceeds ``cap``; callers
     may then supply hand-written generators to :func:`certify_uniform`.
     """
@@ -322,86 +372,94 @@ def find_symmetries(
         raise SearchCapExceededError(
             f"{total} candidate relabelings exceed the cap of {cap}"
         )
-    dense, _ = functional.scaled_table
-    x_digits = scenario.input_digits
-    a_digits = scenario.outcome_digits
-    d = scenario.outcomes
+    dense = functional.scaled_table[0].reshape(-1)
+    n_events = dense.size
+    parties = scenario.parties
+    identity = tuple(range(parties))
+    step = max(1, _GATHER_ELEMENTS // n_events)
 
-    if include_party_perms:
-        party_perms = [
-            pi
-            for pi in itertools.permutations(range(scenario.parties))
-            if all(scenario.settings[i] == scenario.settings[pi[i]] for i in range(scenario.parties))
-        ]
-    else:
-        party_perms = [tuple(range(scenario.parties))]
+    blocks = [_party_candidates(m, scenario.outcomes) for m in scenario.settings]
+    images = [_block_images(scenario, i, blocks[i]) for i in range(parties)]
+    counts = [len(b) for b in blocks]
+    # parties first..parties-1 are stacked into one table of flat event images:
+    # always the last party, and earlier ones while the table fits the bound
+    first = parties - 1
+    while first > 0 and math.prod(counts[first - 1 :]) * n_events <= _GATHER_ELEMENTS:
+        first -= 1
 
     hits: list[Relabeling] = []
-    blocks = [_party_candidates(m, d) for m in scenario.settings]
-    for pi in party_perms:
-        # per-party contributions to the joint event maps, at this party slot
+    for pi in _party_perms(scenario, include_party_perms):
+        # per-party contributions to the flat event image, at this party slot
         contribs = []
-        for i in range(scenario.parties):
-            slot = pi[i]
-            in_stride = scenario.input_strides[slot]
-            out_stride = scenario.outcome_strides[slot]
-            party_list = []
-            for sigma, taus in blocks[i]:
-                sig = np.asarray(sigma, dtype=np.int64)
-                tau = np.asarray(taus, dtype=np.int64)
-                image_setting = sig[x_digits[:, i]]
-                x_contrib = image_setting * in_stride
-                a_contrib = tau[image_setting][:, a_digits[:, i]] * out_stride
-                party_list.append((x_contrib, a_contrib))
-            contribs.append(party_list)
+        for i, (image_setting, image_outcome) in enumerate(images):
+            in_step = scenario.input_strides[pi[i]] * scenario.num_outcomes
+            out_step = scenario.outcome_strides[pi[i]]
+            flat = image_setting[:, :, None] * in_step + image_outcome * out_step
+            contribs.append(flat.reshape(counts[i], n_events))
+        tail = contribs[first]
+        for contrib in contribs[first + 1 :]:
+            tail = (tail[:, None, :] + contrib[None, :, :]).reshape(-1, n_events)
 
-        def scan(i: int, x_acc: np.ndarray, a_acc: np.ndarray, chosen: tuple[int, ...]) -> None:
-            if i == scenario.parties:
-                permuted = np.zeros_like(dense)
-                permuted[x_acc[:, None], a_acc] = dense
-                if np.array_equal(permuted, dense):
-                    rel = Relabeling(
-                        scenario,
-                        tuple(blocks[j][c][0] for j, c in enumerate(chosen)),
-                        tuple(blocks[j][c][1] for j, c in enumerate(chosen)),
-                        pi if pi != tuple(range(scenario.parties)) else None,
-                    )
-                    if not rel.is_identity:
-                        hits.append(rel)
+        def record(chosen: tuple[int, ...]) -> None:
+            rel = Relabeling(
+                scenario,
+                tuple(blocks[j][c][0] for j, c in enumerate(chosen)),
+                tuple(blocks[j][c][1] for j, c in enumerate(chosen)),
+                pi if pi != identity else None,
+            )
+            if not rel.is_identity:
+                hits.append(rel)
+
+        def scan(i: int, acc: np.ndarray, chosen: tuple[int, ...]) -> None:
+            if i == first:
+                for lo in range(0, len(tail), step):
+                    for h in np.flatnonzero(_fixes(dense, acc + tail[lo : lo + step])):
+                        rest = np.unravel_index(lo + int(h), counts[first:])
+                        record(chosen + tuple(int(c) for c in rest))
                 return
-            for c, (x_contrib, a_contrib) in enumerate(contribs[i]):
-                scan(i + 1, x_acc + x_contrib, a_acc + a_contrib, chosen + (c,))
+            for c, contrib in enumerate(contribs[i]):
+                scan(i + 1, acc + contrib, chosen + (c,))
 
-        scan(
-            0,
-            np.zeros(scenario.num_inputs, dtype=np.int64),
-            np.zeros((scenario.num_inputs, scenario.num_outcomes), dtype=np.int64),
-            (),
-        )
+        scan(0, np.zeros(n_events, dtype=np.int64), ())
     return tuple(hits)
 
 
 # --- orbit closure and certificates ---------------------------------------------
 
+def _join(labels: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Join every class of a partition with the classes ``perm`` maps it onto.
+
+    ``labels[e]`` is the smallest event of e's class, and so is each label of
+    the result.  Each round sends every class label to the smallest label
+    one step away along ``perm`` or its inverse, then follows labels to
+    their fixed points; the rounds stop once ``perm`` maps every class into
+    itself.
+    """
+    while True:
+        image = labels[perm]
+        if np.array_equal(image, labels):
+            return labels
+        low = np.minimum(labels, image)
+        target = labels.copy()
+        np.minimum.at(target, labels, low)
+        np.minimum.at(target, image, low)
+        labels = target[labels]
+        while True:
+            deeper = target[labels]
+            if np.array_equal(deeper, labels):
+                break
+            labels = deeper
+
+
 def _orbit_ids(perms: Iterable[np.ndarray], n_events: int) -> np.ndarray:
-    """Connected components of events under a set of event permutations."""
-    ids = np.full(n_events, -1, dtype=np.int64)
-    perms = list(perms)
-    next_id = 0
-    for start in range(n_events):
-        if ids[start] != -1:
-            continue
-        stack = [start]
-        ids[start] = next_id
-        while stack:
-            e = stack.pop()
-            for perm in perms:
-                img = int(perm[e])
-                if ids[img] == -1:
-                    ids[img] = next_id
-                    stack.append(img)
-        next_id += 1
-    return ids
+    """Connected components of events under a set of event permutations.
+
+    Components are numbered in the order of their smallest event.
+    """
+    labels = np.arange(n_events)
+    for perm in perms:
+        labels = _join(labels, perm)
+    return np.unique(labels, return_inverse=True)[1].astype(np.int64)
 
 
 def _joint_event_perm(relabeling: Relabeling) -> np.ndarray:
@@ -448,16 +506,15 @@ def _reduce_generators(generators: Sequence[Relabeling]) -> list[Relabeling]:
         kept.append(g)
     if len(kept) <= GENERATOR_REDUCTION_THRESHOLD:
         return kept
-    # keep only generators that refine the running joint-orbit partition;
-    # the generated orbit partition is unchanged
-    n_events = kept[0].scenario.num_inputs * kept[0].scenario.num_outcomes
+    # keep only generators that join two classes of the running joint-orbit
+    # partition; the generated orbit partition is unchanged
+    labels = np.arange(kept[0].scenario.num_inputs * kept[0].scenario.num_outcomes)
     reduced: list[Relabeling] = []
-    ids = np.arange(n_events)
     for g in kept:
-        trial = _orbit_ids([_joint_event_perm(h) for h in reduced + [g]], n_events)
-        if len(np.unique(trial)) != len(np.unique(ids)):
+        perm = _joint_event_perm(g)
+        if not np.array_equal(labels[perm], labels):
             reduced.append(g)
-            ids = trial
+            labels = _join(labels, perm)
     return reduced
 
 
@@ -532,10 +589,16 @@ class UniformityCertificate:
 def _verified_generators(
     functional: BellFunctional, generators: Sequence[Relabeling]
 ) -> list[Relabeling]:
+    generators = list(generators)
     for g in generators:
         if g.scenario != functional.scenario:
             raise ScenarioMismatchError("generator scenario does not match functional")
-        if not is_symmetry(g, functional):
+    # the exact test of is_symmetry, one batched gather per chunk of generators
+    dense = functional.scaled_table[0].reshape(-1)
+    step = max(1, _GATHER_ELEMENTS // dense.size)
+    for lo in range(0, len(generators), step):
+        images = np.stack([_joint_event_perm(g) for g in generators[lo : lo + step]])
+        if not _fixes(dense, images).all():
             raise ValidationError(
                 "a supplied generator is not a symmetry of the functional"
             )
@@ -611,12 +674,10 @@ def orbit_equality_violation(
         worst = max(worst, float(probs.max() - probs.min()))
     offsets = _marginal_offsets(sc)
     marg_vals = np.empty(offsets[-1])
-    from .scenario import marginal as _marginal
-
     for i in range(sc.parties):
         for x in range(sc.settings[i]):
             base = offsets[i] + x * sc.outcomes
-            marg_vals[base : base + sc.outcomes] = _marginal(behavior, (i,), (x,))
+            marg_vals[base : base + sc.outcomes] = marginal(behavior, (i,), (x,))
     for oid in np.unique(cert.marginal_orbits):
         vals = marg_vals[cert.marginal_orbits == oid]
         worst = max(worst, float(vals.max() - vals.min()))

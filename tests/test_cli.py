@@ -79,6 +79,14 @@ class TestCertify:
         assert set(data["local_bits"].values()) == {1.0}
         assert set(data["joint_bits"].values()) == {1.0}
 
+    def test_generator_count_agrees_with_and_without_query(self, capsys):
+        base = ("certify", "--functional", "mermin", "--n", "4")
+        _, sweep, _ = run_cli(capsys, *base)
+        _, single, _ = run_cli(capsys, *base, "--query", "joint:1,1,1,1")
+        # 127 symmetries, reduced to the 7 generators the certificate keeps
+        assert json.loads(sweep)["generator_count"] == 7
+        assert json.loads(single)["generator_count"] == 7
+
     def test_one_based_local_query(self, capsys):
         code, out, _ = run_cli(
             capsys,

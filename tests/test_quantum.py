@@ -176,6 +176,11 @@ class TestSeeSaw:
         with pytest.raises(ValidationError, match="two-outcome"):
             optimize_violation(chained_modular(2, 3))
 
+    @pytest.mark.parametrize("option", ["restarts", "max_iters"])
+    def test_rejects_nonpositive_counts(self, option):
+        with pytest.raises(ValidationError, match=option):
+            optimize_violation(chsh(), **{option: 0})
+
     def test_rejects_oversized_scenarios(self):
         with pytest.raises(ValidationError, match="dimension"):
             optimize_violation(mermin(9))

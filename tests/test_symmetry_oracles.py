@@ -1,0 +1,230 @@
+"""The batched symmetry search and the label-join orbit closure against the
+straightforward loops they replace."""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import bellcert
+from bellcert import (
+    BellFunctional,
+    JointQuery,
+    Relabeling,
+    Scenario,
+    certify_uniform,
+    find_symmetries,
+    is_symmetry,
+    lifted_chsh_c,
+    mermin,
+    pushforward_functional,
+    search_space_size,
+)
+from bellcert.symmetry import (
+    GENERATOR_REDUCTION_THRESHOLD,
+    _joint_event_perm,
+    _marginal_event_perm,
+    _marginal_offsets,
+    _orbit_ids,
+)
+
+from conftest import random_relabeling
+
+SCENARIOS = [
+    Scenario((2, 2), 2),
+    Scenario((2, 2), 3),
+    Scenario((2, 2, 2), 2),
+    Scenario((3, 2), 2),
+]
+
+
+def oracle_candidates(scenario, include_party_perms):
+    """Every relabeling in the search order: party permutation, then blocks."""
+    identity = tuple(range(scenario.parties))
+    party_perms = [identity]
+    if include_party_perms:
+        party_perms = [
+            pi
+            for pi in itertools.permutations(identity)
+            if all(scenario.settings[i] == scenario.settings[pi[i]] for i in identity)
+        ]
+    outcome_perms = list(itertools.permutations(range(scenario.outcomes)))
+    per_party = [
+        [
+            (sigma, taus)
+            for sigma in itertools.permutations(range(m))
+            for taus in itertools.product(outcome_perms, repeat=m)
+        ]
+        for m in scenario.settings
+    ]
+    for pi in party_perms:
+        for combo in itertools.product(*per_party):
+            yield Relabeling(
+                scenario,
+                tuple(block[0] for block in combo),
+                tuple(block[1] for block in combo),
+                pi,
+            )
+
+
+def oracle_symmetries(functional, include_party_perms):
+    return tuple(
+        g
+        for g in oracle_candidates(functional.scenario, include_party_perms)
+        if not g.is_identity and is_symmetry(g, functional)
+    )
+
+
+def bfs_orbit_ids(perms, n_events):
+    """Breadth-first closure numbering components by their smallest event."""
+    ids = np.full(n_events, -1, dtype=np.int64)
+    next_id = 0
+    for start in range(n_events):
+        if ids[start] != -1:
+            continue
+        stack = [start]
+        ids[start] = next_id
+        while stack:
+            e = stack.pop()
+            for perm in perms:
+                img = int(perm[e])
+                if ids[img] == -1:
+                    ids[img] = next_id
+                    stack.append(img)
+        next_id += 1
+    return ids
+
+
+def recount_reduce(generators):
+    """Keep a generator iff adding it changes the recomputed orbit count."""
+    kept = []
+    for g in generators:
+        if not g.is_identity and g not in kept:
+            kept.append(g)
+    if len(kept) <= GENERATOR_REDUCTION_THRESHOLD:
+        return kept
+    sc = kept[0].scenario
+    n_events = sc.num_inputs * sc.num_outcomes
+    reduced = []
+    ids = np.arange(n_events)
+    for g in kept:
+        trial = bfs_orbit_ids([_joint_event_perm(h) for h in reduced + [g]], n_events)
+        if len(np.unique(trial)) != len(np.unique(ids)):
+            reduced.append(g)
+            ids = trial
+    return reduced
+
+
+def integer_functional(scenario, values):
+    return BellFunctional(
+        scenario, {divmod(e, scenario.num_outcomes): v for e, v in enumerate(values)}
+    )
+
+
+def symmetrized(functional, g):
+    """Sum of the functional's images under the powers of g: invariant under g."""
+    total = dict(functional.coefficients)
+    image = pushforward_functional(g, functional)
+    while not image.same_coefficients(functional):
+        for key, c in image.coefficients.items():
+            total[key] = total.get(key, 0) + c
+        image = pushforward_functional(g, image)
+    return BellFunctional(functional.scenario, total)
+
+
+@st.composite
+def small_functionals(draw):
+    """Integer functionals with few distinct values, optionally made invariant
+    under a random relabeling so that the search has hits to order."""
+    scenario = draw(st.sampled_from(SCENARIOS))
+    size = scenario.num_inputs * scenario.num_outcomes
+    values = draw(st.lists(st.integers(-1, 1), min_size=size, max_size=size))
+    functional = integer_functional(scenario, values)
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        functional = symmetrized(functional, random_relabeling(scenario, rng))
+    return functional
+
+
+def search(functional, include_party_perms, one_block_batches):
+    """find_symmetries; optionally with batches of a single block, so that
+    every party but the last is enumerated and every block is its own chunk."""
+    with pytest.MonkeyPatch.context() as mp:
+        if one_block_batches:
+            mp.setattr(bellcert.symmetry, "_GATHER_ELEMENTS", 1)
+        return find_symmetries(functional, include_party_perms=include_party_perms)
+
+
+@settings(max_examples=10, deadline=None)
+@given(small_functionals(), st.booleans(), st.booleans())
+def test_search_matches_exhaustive_is_symmetry_loop(
+    functional, include_party_perms, one_block_batches
+):
+    found = search(functional, include_party_perms, one_block_batches)
+    assert found == oracle_symmetries(functional, include_party_perms)
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+@pytest.mark.parametrize("include_party_perms", [False, True])
+@pytest.mark.parametrize("one_block_batches", [False, True])
+def test_search_matches_exhaustive_loop_on_every_scenario(
+    scenario, include_party_perms, one_block_batches
+):
+    rng = np.random.default_rng(scenario.num_inputs * scenario.num_outcomes)
+    values = rng.integers(-1, 2, size=scenario.num_inputs * scenario.num_outcomes)
+    functional = symmetrized(
+        integer_functional(scenario, values.tolist()), random_relabeling(scenario, rng)
+    )
+    found = search(functional, include_party_perms, one_block_batches)
+    assert found
+    assert found == oracle_symmetries(functional, include_party_perms)
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS + [lifted_chsh_c().scenario])
+@pytest.mark.parametrize("include_party_perms", [False, True])
+def test_search_space_size_counts_scanned_candidates(scenario, include_party_perms):
+    scanned = sum(1 for _ in oracle_candidates(scenario, include_party_perms))
+    assert search_space_size(scenario, include_party_perms) == scanned
+
+
+def test_party_perms_that_change_setting_counts_are_not_counted():
+    f = lifted_chsh_c()
+    assert search_space_size(f.scenario, include_party_perms=True) == 256
+    found = find_symmetries(f, include_party_perms=True, cap=256)
+    assert found == oracle_symmetries(f, True)
+
+
+@pytest.mark.parametrize(
+    "functional, include_party_perms", [(mermin(4), False), (mermin(3), True)]
+)
+def test_generator_reduction_matches_orbit_recount(functional, include_party_perms):
+    sc = functional.scenario
+    found = find_symmetries(functional, include_party_perms=include_party_perms)
+    assert len(found) > GENERATOR_REDUCTION_THRESHOLD
+    cert = certify_uniform(functional, found, JointQuery(sc.input_tuple(0)))
+    kept = recount_reduce(found)
+    assert cert.generators == tuple(kept)
+    joint = bfs_orbit_ids([_joint_event_perm(g) for g in kept], sc.num_inputs * sc.num_outcomes)
+    marg = bfs_orbit_ids([_marginal_event_perm(g) for g in kept], _marginal_offsets(sc)[-1])
+    assert np.array_equal(cert.joint_orbits, joint)
+    assert np.array_equal(cert.marginal_orbits, marg)
+    # the full symmetry list closes to the same partition
+    assert np.array_equal(
+        joint,
+        bfs_orbit_ids([_joint_event_perm(g) for g in found], sc.num_inputs * sc.num_outcomes),
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 4), st.integers(0, 2**16))
+def test_orbit_ids_match_breadth_first_closure(n_events, n_perms, seed):
+    rng = np.random.default_rng(seed)
+    perms = [rng.permutation(n_events) for _ in range(n_perms)]
+    assert np.array_equal(_orbit_ids(perms, n_events), bfs_orbit_ids(perms, n_events))
+
+
+def test_orbit_equality_violation_is_exported():
+    assert "orbit_equality_violation" in bellcert.__all__
+    assert bellcert.orbit_equality_violation is bellcert.symmetry.orbit_equality_violation
