@@ -11,13 +11,16 @@ the objective linearly through its Bloch vector.  Both steps are coordinate
 optima, so the objective is monotone along the iteration; results are
 labeled best-found, not globally optimal, and acceptance values are pinned
 against independent grid oracles.
+
+The numerics are contractions over party-paired tensors: the coefficient
+table c[x_0, a_0, x_1, a_1, ...] and each party's stacked projectors
+P_i[x, a, p, q] are summed one party at a time, and all restarts run as one
+batch with one batched eigendecomposition per step.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -201,26 +204,106 @@ def phase_measurement_model(
     return QuantumModel(scenario, state, measurements)
 
 
+def _pair_axes(n: int) -> list[int]:
+    """Axis order taking (x_0..x_{N-1}, a_0..a_{N-1}) to (x_0, a_0, x_1, a_1, ...)."""
+    return [k for i in range(n) for k in (i, n + i)]
+
+
+def _paired_table(table: np.ndarray, sc: Scenario) -> np.ndarray:
+    """The coefficient table with each party's (setting, outcome) axes adjacent."""
+    return table.reshape(sc.settings + (sc.outcomes,) * sc.parties).transpose(
+        _pair_axes(sc.parties)
+    )
+
+
+def _contract(t: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Sum the leading axis of ``t`` against each (R, A_j, B_j) matrix in turn.
+
+    Each step appends its B_j axis last, so a (R or 1, A_0 * A_1 * ...)
+    input gives (R, B_0 * B_1 * ...) with the parties still in order.
+    """
+    for m in mats:
+        t = t.reshape(t.shape[0], m.shape[1], -1).swapaxes(1, 2) @ m
+    return t.reshape(t.shape[0], -1)
+
+
+def _party_stacks(
+    sc: Scenario, measurements: Sequence[Sequence[np.ndarray]]
+) -> list[np.ndarray]:
+    """Each party's projectors as one (1, settings * outcomes, D, D) array."""
+    if len(measurements) != sc.parties:
+        raise ScenarioMismatchError("need one measurement list per party")
+    stacks = []
+    for i, per_setting in enumerate(measurements):
+        if len(per_setting) != sc.settings[i]:
+            raise ScenarioMismatchError(f"party {i} needs {sc.settings[i]} measurements")
+        blocks = [np.asarray(stack, dtype=complex) for stack in per_setting]
+        shape = (sc.outcomes,) + blocks[0].shape[-1:] * 2
+        for x, block in enumerate(blocks):
+            if block.shape != shape:
+                raise ScenarioMismatchError(
+                    f"measurement of party {i}, setting {x} has shape {block.shape}, "
+                    f"not {sc.outcomes} square projectors of the party's dimension"
+                )
+        stacks.append(np.stack(blocks).reshape(1, -1, *shape[1:]))
+    return stacks
+
+
+def _bell_operators(coeffs: np.ndarray, stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """(R, D, D) Bell operators of paired coefficients and (R, M_i * d, D_i, D_i) stacks."""
+    dims = [s.shape[-1] for s in stacks]
+    n = len(dims)
+    op = _contract(coeffs.reshape(1, -1), [s.reshape(*s.shape[:2], -1) for s in stacks])
+    op = op.reshape(-1, *(k for dim in dims for k in (dim, dim)))
+    op = op.transpose(0, *range(1, 2 * n, 2), *range(2, 2 * n + 1, 2))
+    return op.reshape(-1, math.prod(dims), math.prod(dims))
+
+
+def _density(psi: np.ndarray, dims: Sequence[int]) -> np.ndarray:
+    """(R, D_0, D_0, D_1, D_1, ...) densities rho[p_0, q_0, ...] = conj(psi[p]) psi[q]."""
+    rho = (psi.conj()[:, :, None] * psi[:, None, :]).reshape(-1, *dims, *dims)
+    return rho.transpose(0, *(1 + k for k in _pair_axes(len(dims))))
+
+
+def _traced(rho: np.ndarray, stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """Trace densities against party stacks in order, leaving each (x_j, a_j) open.
+
+    Parties of ``rho`` beyond the traced ones keep their (p, q) axes, ahead
+    of the open (x_j, a_j) axes in the result.
+    """
+    mats = [s.reshape(*s.shape[:2], -1).swapaxes(1, 2) for s in stacks]
+    return _contract(rho.reshape(rho.shape[0], -1), mats)
+
+
+def _bloch_gradients(
+    rho: np.ndarray, stacks: Sequence[np.ndarray], coeffs: np.ndarray, party: int
+) -> np.ndarray:
+    """(R, M_i, 3) gradients v: the objective is const + sum_x v[x] . n_x for party i."""
+    others = stacks[:party] + stacks[party + 1 :]
+    traced = _traced(np.moveaxis(rho, (1 + 2 * party, 2 + 2 * party), (-2, -1)), others)
+    # sum_{a_i} c(x, a) (1/2, -1/2)[a_i], party i's setting first
+    weights = np.tensordot(coeffs, [0.5, -0.5], ([2 * party + 1], [0]))
+    weights = np.moveaxis(weights, 2 * party, 0)
+    grad = traced.reshape(rho.shape[0], 4, -1) @ weights.reshape(weights.shape[0], -1).T
+    return np.real(PAULIS.reshape(3, 4) @ grad).swapaxes(1, 2)
+
+
+def _qubit_stacks(bloch: np.ndarray) -> np.ndarray:
+    """(R, M * 2, 2, 2) projector stacks of (R, M, 3) Bloch vectors, outcome +1 first."""
+    obs = np.einsum("rmk,kij->rmij", bloch, PAULIS)
+    eye = np.eye(2, dtype=complex)
+    stacks = np.stack([(eye + obs) / 2, (eye - obs) / 2], axis=2)
+    return stacks.reshape(-1, bloch.shape[1] * 2, 2, 2)
+
+
 def behavior_from_model(model: QuantumModel) -> Behavior:
     """Born-rule behavior of a model."""
     sc = model.scenario
-    dims = model.local_dims
-    psi = model.state.reshape(dims)
-    n = sc.parties
-    table = np.empty((sc.num_inputs, sc.num_outcomes))
-    for x_idx in range(sc.num_inputs):
-        x = sc.input_tuple(x_idx)
-        # state axes stay at positions 0..N-1; one outcome axis per party is
-        # appended at the end, in party order
-        amp = psi
-        for i, xi in enumerate(x):
-            stack = model.measurements[i][xi]
-            amp = np.tensordot(stack, amp, axes=([2], [i]))
-            amp = np.moveaxis(amp, 0, -1)
-            amp = np.moveaxis(amp, 0, i)
-        probs = np.tensordot(psi.conj(), amp, axes=(list(range(n)), list(range(n))))
-        table[x_idx] = probs.real.reshape(-1)
-    return Behavior(sc, table)
+    rho = _density(model.state.reshape(1, -1), model.local_dims)
+    probs = _traced(rho, _party_stacks(sc, model.measurements)).real
+    probs = probs.reshape(tuple(k for m in sc.settings for k in (m, sc.outcomes)))
+    table = probs.transpose(np.argsort(_pair_axes(sc.parties)))
+    return Behavior(sc, table.reshape(sc.num_inputs, sc.num_outcomes))
 
 
 def bell_operator(
@@ -228,27 +311,8 @@ def bell_operator(
 ) -> np.ndarray:
     """Hermitian operator sum c(a,x) prod_i Pi^{a_i}_{x_i} for fixed measurements."""
     sc = functional.scenario
-    if len(measurements) != sc.parties:
-        raise ScenarioMismatchError("need one measurement list per party")
-    for i, per_setting in enumerate(measurements):
-        if len(per_setting) != sc.settings[i]:
-            raise ScenarioMismatchError(f"party {i} needs {sc.settings[i]} measurements")
-    dims = [np.asarray(per_setting[0]).shape[1] for per_setting in measurements]
-    dim = math.prod(dims)
-    op = np.zeros((dim, dim), dtype=complex)
-    table = functional.float_table
-    for x_idx in range(sc.num_inputs):
-        x = sc.input_tuple(x_idx)
-        row = table[x_idx]
-        if not row.any():
-            continue
-        for a_idx in np.nonzero(row)[0]:
-            a = sc.outcome_tuple(int(a_idx))
-            term = np.array([[row[a_idx]]], dtype=complex)
-            for i, (xi, ai) in enumerate(zip(x, a)):
-                term = np.kron(term, np.asarray(measurements[i][xi])[ai])
-            op += term
-    return op
+    stacks = _party_stacks(sc, measurements)
+    return _bell_operators(_paired_table(functional.float_table, sc), stacks)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,71 +347,68 @@ def _random_bloch(rng: np.random.Generator) -> np.ndarray:
             return v / norm
 
 
-def _measurement_update_vector(
-    psi: np.ndarray,
-    float_table: np.ndarray,
-    scenario: Scenario,
-    projectors: list[list[np.ndarray]],
-    party: int,
-    setting: int,
-) -> np.ndarray:
-    """Gradient of the objective in the Bloch components of one observable.
+def _seeded_starts(sc: Scenario, seed: int, restarts: int) -> list[np.ndarray]:
+    """Party i's (restarts, M_i, 3) start vectors; restart r draws from rng([seed, r])."""
+    starts = []
+    for r in range(restarts):
+        rng = np.random.default_rng([seed, r])
+        starts.append([[_random_bloch(rng) for _ in range(m)] for m in sc.settings])
+    return [np.array([s[i] for s in starts]) for i in range(sc.parties)]
 
-    The objective is linear in the Bloch vector of party ``party`` at
-    ``setting``; the returned 3-vector v satisfies
-    objective = const + v . n for the observable along n.
+
+def _seesaw(
+    functional: BellFunctional, bloch: Sequence[np.ndarray], tol: float, max_iters: int
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, list[list[float]]]:
+    """Run every restart of the see-saw as one batch.
+
+    ``bloch[i]`` holds party i's (restarts, M_i, 3) start vectors.  Returns
+    each restart's final Bloch vectors (same layout), iteration count,
+    convergence flag and trace.  A restart leaves the batch at the
+    iteration where it converges.
     """
-    sc = scenario
-    n_parties = sc.parties
-    psi_t = psi.reshape((2,) * n_parties)
-    others = [j for j in range(n_parties) if j != party]
-    grad_matrix = np.zeros((2, 2), dtype=complex)
-    for x_idx in range(sc.num_inputs):
-        x = sc.input_tuple(x_idx)
-        if x[party] != setting:
-            continue
-        row = float_table[x_idx]
-        if not row.any():
-            continue
-        # weights for each assignment of the other parties' outcomes:
-        # (c at a_party=+1 minus c at a_party=-1) / 2
-        for other_outcomes in np.ndindex(*(2,) * len(others)):
-            a_plus = [0] * n_parties
-            a_minus = [0] * n_parties
-            for j, o in zip(others, other_outcomes):
-                a_plus[j] = o
-                a_minus[j] = o
-            a_plus[party] = 0
-            a_minus[party] = 1
-            w = (
-                row[sc.outcome_index(tuple(a_plus))]
-                - row[sc.outcome_index(tuple(a_minus))]
-            ) / 2
-            if w == 0.0:
-                continue
-            chi = psi_t
-            for j, o in zip(others, other_outcomes):
-                proj = projectors[j][x[j]][o]
-                chi = np.tensordot(proj, chi, axes=([1], [j]))
-                chi = np.moveaxis(chi, 0, j)
-            # G[p, q] = sum over other axes of conj(chi)[..., p] * psi[..., q]
-            chi_m = np.moveaxis(chi, party, -1).reshape(-1, 2)
-            psi_m = np.moveaxis(psi_t, party, -1).reshape(-1, 2)
-            grad_matrix += w * (chi_m.conj().T @ psi_m)
-    return np.real(np.einsum("kpq,pq->k", PAULIS, grad_matrix))
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("BELLCERT_THREADS", "")
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError as exc:
-            raise ValidationError(f"BELLCERT_THREADS={raw!r} is not an integer") from exc
-        if cap < 1:
-            raise ValidationError("BELLCERT_THREADS must be at least 1")
-        return cap
-    return os.cpu_count() or 1
+    sc = functional.scenario
+    sign = 1.0 if functional.orientation == "max" else -1.0
+    pick = -1 if sign > 0 else 0
+    bloch = list(bloch)
+    restarts = bloch[0].shape[0]
+    coeffs = _paired_table(functional.float_table, sc)
+    final = [b.copy() for b in bloch]
+    iterations = np.zeros(restarts, dtype=int)
+    converged = np.zeros(restarts, dtype=bool)
+    traces: list[list[float]] = [[] for _ in range(restarts)]
+    live = np.arange(restarts)
+    prev = np.full(restarts, -np.inf)
+    for it in range(1, max_iters + 1):
+        stacks = [_qubit_stacks(b) for b in bloch]
+        vals, vecs = np.linalg.eigh(_bell_operators(coeffs, stacks))
+        rho = _density(vecs[:, :, pick], (2,) * sc.parties)
+        steps = [sign * vals[:, pick, None]]
+        # no term pairs two settings of one party, so all of a party's
+        # settings move at once and each move is still an exact optimum
+        for i in range(sc.parties):
+            v = _bloch_gradients(rho, stacks, coeffs, i)
+            norm = np.linalg.norm(v, axis=-1, keepdims=True)
+            moved = norm > 1e-14
+            new = np.where(moved, sign * v / np.where(moved, norm, 1.0), bloch[i])
+            # exact objective change of each coordinate step
+            steps.append(sign * ((new * v).sum(axis=-1) - (bloch[i] * v).sum(axis=-1)))
+            bloch[i] = new
+            stacks[i] = _qubit_stacks(new)
+        values = np.cumsum(np.concatenate(steps, axis=1), axis=1)
+        for r, row in zip(live, values.tolist()):
+            traces[r].extend(row)
+        current = values[:, -1]
+        done = current - prev < tol
+        stop = done | (it == max_iters)
+        iterations[live[stop]] = it
+        converged[live[stop]] = done[stop]
+        for i in range(sc.parties):
+            final[i][live[stop]] = bloch[i][stop]
+        live, prev = live[~stop], current[~stop]
+        if not live.size:
+            break
+        bloch = [b[~stop] for b in bloch]
+    return final, iterations, converged, traces
 
 
 def optimize_violation(
@@ -356,7 +417,6 @@ def optimize_violation(
     seed: int = 0,
     tol: float = 1e-10,
     max_iters: int = 500,
-    workers: int | None = None,
 ) -> OptimizationResult:
     """Best-found extremal quantum value of a functional over qubit models.
 
@@ -365,8 +425,8 @@ def optimize_violation(
     moves to the extremal eigenvector of the Bell operator (ties broken
     deterministically by eigendecomposition order) and each Bloch vector
     moves to its normalized gradient.  ``restarts`` seeded initial models
-    are tried; the best value wins, ties going to the lowest restart index.
-    Results are reproducible given ``seed``.
+    run as one batch; the best value wins, ties going to the lowest restart
+    index.  Results are reproducible given ``seed``.
     """
     sc = functional.scenario
     if sc.outcomes != 2:
@@ -381,78 +441,24 @@ def optimize_violation(
         raise ValidationError(f"restarts must be at least 1, got {restarts}")
     if max_iters < 1:
         raise ValidationError(f"max_iters must be at least 1, got {max_iters}")
-    sign = 1.0 if functional.orientation == "max" else -1.0
-    table = functional.float_table
+    if not tol > 0:
+        raise ValidationError(f"tol must be positive, got {tol}")
 
-    def run_restart(r: int) -> tuple[float, list[list[np.ndarray]], int, bool, list[float]]:
-        rng = np.random.default_rng([seed, r])
-        bloch = [
-            [_random_bloch(rng) for _ in range(sc.settings[i])]
-            for i in range(sc.parties)
-        ]
-        projectors = [
-            [qubit_projectors(v) for v in per_party] for per_party in bloch
-        ]
-        trace: list[float] = []
-        prev = -np.inf
-        psi = None
-        iterations = 0
-        converged = False
-        for it in range(max_iters):
-            iterations = it + 1
-            op = bell_operator(functional, projectors)
-            vals, vecs = np.linalg.eigh(op)
-            idx = -1 if sign > 0 else 0
-            psi = vecs[:, idx]
-            current = sign * float(vals[idx])
-            trace.append(current)
-            for i in range(sc.parties):
-                for x in range(sc.settings[i]):
-                    v = _measurement_update_vector(
-                        psi, table, sc, projectors, i, x
-                    )
-                    norm = float(np.linalg.norm(v))
-                    if norm > 1e-14:
-                        new_n = sign * v / norm
-                        old_n = bloch[i][x]
-                        # exact objective change of this coordinate step
-                        current = current + sign * (
-                            float(new_n @ v) - float(old_n @ v)
-                        )
-                        bloch[i][x] = new_n
-                        projectors[i][x] = qubit_projectors(new_n)
-                    trace.append(current)
-            if current - prev < tol:
-                converged = True
-                break
-            prev = current
-        return sign * trace[-1], bloch, iterations, converged, trace
-
-    max_workers = workers if workers is not None else _thread_cap()
-    max_workers = max(1, min(max_workers, restarts))
-    if max_workers == 1:
-        outcomes = [run_restart(r) for r in range(restarts)]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(run_restart, range(restarts)))
-
-    best = 0
-    for r in range(1, restarts):
-        if sign * outcomes[r][0] > sign * outcomes[best][0]:
-            best = r
-    _, bloch, iterations, converged, _ = outcomes[best]
-    model = qubit_model_from_functional(functional, bloch)
+    starts = _seeded_starts(sc, seed, restarts)
+    final, iterations, converged, traces = _seesaw(functional, starts, tol, max_iters)
+    best = int(np.argmax([tr[-1] for tr in traces]))
+    model = qubit_model_from_functional(functional, [b[best] for b in final])
     behavior = behavior_from_model(model)
     value = evaluate(functional, behavior)
     return OptimizationResult(
         value=value,
         model=model,
         behavior=behavior,
-        iterations=iterations,
-        converged=converged,
+        iterations=int(iterations[best]),
+        converged=bool(converged[best]),
         seed=seed,
         restart=best,
-        traces=tuple(tuple(o[4]) for o in outcomes),
+        traces=tuple(tuple(tr) for tr in traces),
     )
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from bellcert import (
     Scenario,
+    ScenarioMismatchError,
     ValidationError,
     behavior_from_model,
     bell_operator,
@@ -130,6 +131,25 @@ class TestBellOperator:
         op = bell_operator(f, stacks)
         assert np.abs(op - 3 * np.eye(4)).max() < 1e-12
 
+    def test_rejects_one_outcome_stack(self):
+        model = canonical_chsh_model()
+        stacks = (model.measurements[0], (model.measurements[1][0][:1], model.measurements[1][1]))
+        with pytest.raises(ScenarioMismatchError, match="party 1, setting 0"):
+            bell_operator(chsh(), stacks)
+
+    def test_rejects_block_of_another_dimension(self):
+        model = canonical_chsh_model()
+        qutrit = np.stack([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])])
+        stacks = (model.measurements[0], (model.measurements[1][0], qutrit))
+        with pytest.raises(ScenarioMismatchError, match="party 1, setting 1"):
+            bell_operator(chsh(), stacks)
+
+    def test_rejects_bare_projector(self):
+        model = canonical_chsh_model()
+        stacks = ((model.measurements[0][0][0], model.measurements[0][1]), model.measurements[1])
+        with pytest.raises(ScenarioMismatchError, match="party 0, setting 0"):
+            bell_operator(chsh(), stacks)
+
     def test_mermin3_operator_at_optimizer_angles(self):
         res = optimize_violation(mermin(3), seed=2)
         op = bell_operator(mermin(3), res.model.measurements)
@@ -185,11 +205,19 @@ class TestSeeSaw:
         with pytest.raises(ValidationError, match="dimension"):
             optimize_violation(mermin(9))
 
-    def test_workers_do_not_change_result(self):
-        serial = optimize_violation(chsh(), seed=6, restarts=4, workers=1)
-        threaded = optimize_violation(chsh(), seed=6, restarts=4, workers=4)
-        assert serial.value == threaded.value
-        assert np.array_equal(serial.behavior.table, threaded.behavior.table)
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0])
+    def test_rejects_nonpositive_tol(self, tol):
+        with pytest.raises(ValidationError, match="tol must be positive"):
+            optimize_violation(chsh(), tol=tol)
+
+    @pytest.mark.parametrize(
+        "n, expected", [(5, 8.0), (6, 8 * ROOT2)], ids=["mermin5", "mermin6"]
+    )
+    def test_many_party_mermin_optima(self, n, expected):
+        res = optimize_violation(mermin(n), seed=1)
+        assert res.value == pytest.approx(expected, abs=1e-6)
+        for tr in res.traces:
+            assert np.diff(np.array(tr)).min() > -1e-10
 
 
 class TestOptimaStructure:
