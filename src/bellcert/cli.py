@@ -13,10 +13,12 @@ all JSON payloads use 0-based indices.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
-from typing import Sequence
+from collections import namedtuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,22 +54,11 @@ from .scenario import (
 )
 from .symmetry import (
     SearchCapExceededError,
-    certify_all,
     certify_uniform,
     find_symmetries,
     orbit_equality_violation,
     outcome_shift,
     relabeling_to_dict,
-)
-
-DEMO_NAMES = (
-    "chsh",
-    "tilted",
-    "chained-local",
-    "chained-global",
-    "mermin-odd",
-    "mermin-even",
-    "lifted",
 )
 
 
@@ -118,16 +109,25 @@ def _parse_query(text: str, functional: BellFunctional) -> JointQuery | LocalQue
     except ValueError as exc:
         raise UsageError(f"malformed query {text!r}") from exc
     sc = functional.scenario
+
+    def index(value: int, count: int, what: str) -> int:
+        if not 1 <= value <= count:
+            raise UsageError(f"{what} {value} out of range 1..{count}")
+        return value - 1
+
     if kind == "joint":
         if len(numbers) != sc.parties:
             raise UsageError(
                 f"joint query needs {sc.parties} settings, got {len(numbers)}"
             )
-        return JointQuery(tuple(v - 1 for v in numbers))
+        pairs = enumerate(zip(numbers, sc.settings), 1)
+        return JointQuery(tuple(index(v, m, f"party {i} setting") for i, (v, m) in pairs))
     if kind == "local":
         if len(numbers) != 2:
             raise UsageError("local query needs party,setting")
-        return LocalQuery(numbers[0] - 1, numbers[1] - 1)
+        party = index(numbers[0], sc.parties, "party")
+        setting = index(numbers[1], sc.settings[party], f"party {party + 1} setting")
+        return LocalQuery(party, setting)
     raise UsageError(f"unknown query kind {kind!r}")
 
 
@@ -141,8 +141,26 @@ def _bound_as_number(bound) -> float | int:
     return int(bound) if bound.denominator == 1 else float(bound)
 
 
-def _strategies_json(report) -> list:
-    return [[list(per_party) for per_party in s] for s in report.maximizers]
+def _joint_queries(sc) -> list[JointQuery]:
+    return [JointQuery(x) for x in sc.joint_inputs()]
+
+
+def _local_queries(sc) -> list[LocalQuery]:
+    return [LocalQuery(i, x) for i in range(sc.parties) for x in range(sc.settings[i])]
+
+
+def _certificate(functional, generators):
+    """A certificate for every query at once: its orbits do not depend on the query."""
+    first = JointQuery(functional.scenario.input_tuple(0))
+    return certify_uniform(functional, generators, first)
+
+
+def _bits_block(cert) -> dict:
+    sc = cert.functional.scenario
+    return {
+        "joint_bits": {_query_key(q): cert.certified_bits(q) for q in _joint_queries(sc)},
+        "local_bits": {_query_key(q): cert.certified_bits(q) for q in _local_queries(sc)},
+    }
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -157,28 +175,35 @@ def _cmd_local_bound(args: argparse.Namespace) -> dict:
         "maximizer_count": report.maximizer_count,
     }
     if args.list_maximizers:
-        out["maximizers"] = _strategies_json(report)
+        out["maximizers"] = [[list(p) for p in s] for s in report.maximizers]
     return out
 
 
-def _cmd_maximize(args: argparse.Namespace) -> dict:
-    functional = _build_functional(args)
-    result = optimize_violation(
+def _optimize(functional: BellFunctional, args: argparse.Namespace):
+    return optimize_violation(
         functional,
         restarts=args.restarts,
         seed=args.seed,
         tol=args.tol,
         max_iters=args.max_iters,
     )
-    out = {
-        "functional": functional.name,
-        "orientation": functional.orientation,
+
+
+def _optimum(result) -> dict:
+    return {
         "value": result.value,
         "iterations": result.iterations,
         "converged": result.converged,
         "seed": result.seed,
         "status": "best-found",
     }
+
+
+def _cmd_maximize(args: argparse.Namespace) -> dict:
+    functional = _build_functional(args)
+    result = _optimize(functional, args)
+    out = {"functional": functional.name, "orientation": functional.orientation}
+    out.update(_optimum(result))
     if args.emit_model:
         out["model"] = model_to_dict(result.model)
     if args.emit_behavior:
@@ -201,54 +226,32 @@ def _cmd_symmetries(args: argparse.Namespace) -> dict:
 
 def _cmd_certify(args: argparse.Namespace) -> dict:
     functional = _build_functional(args)
+    query = _parse_query(args.query, functional) if args.query else None
     generators = find_symmetries(
         functional, include_party_perms=args.party_perms, cap=args.cap
     )
-    if args.query:
-        query = _parse_query(args.query, functional)
-    else:
-        query = JointQuery(functional.scenario.input_tuple(0))
-    # both branches report the certificate's (reduced) generator count
-    cert = certify_uniform(functional, generators, query)
-    if args.query:
-        report = certified_report(cert, query)
-        return {
-            "functional": functional.name,
-            "query": _query_key(query),
-            "bits": report.min_entropy_bits,
-            "p_guess": report.guessing_probability,
-            "generator_count": len(cert.generators),
-            "assumes_unique_maximizer": True,
-            "assumption": cert.assumption,
-        }
-    # the kept generators generate the same group, so this sweep equals the
-    # sweep over every symmetry found
-    sweep = certify_all(functional, cert.generators)
-    return {
+    cert = _certificate(functional, generators)
+    out = {
         "functional": functional.name,
         "generator_count": len(cert.generators),
-        "joint_bits": {
-            _query_key(q): b for q, b in sweep.items() if isinstance(q, JointQuery)
-        },
-        "local_bits": {
-            _query_key(q): b for q, b in sweep.items() if isinstance(q, LocalQuery)
-        },
         "assumes_unique_maximizer": True,
+    }
+    if query is None:
+        return {**out, **_bits_block(cert)}
+    report = certified_report(cert, query)
+    return {
+        **out,
+        "query": _query_key(query),
+        "bits": report.min_entropy_bits,
+        "p_guess": report.guessing_probability,
+        "assumption": cert.assumption,
     }
 
 
 def _cmd_randomness(args: argparse.Namespace) -> dict:
     functional = _build_functional(args)
-    result = optimize_violation(
-        functional,
-        restarts=args.restarts,
-        seed=args.seed,
-        tol=args.tol,
-        max_iters=args.max_iters,
-    )
-    if not args.query:
-        raise UsageError("randomness requires --query")
     query = _parse_query(args.query, functional)
+    result = _optimize(functional, args)
     report = observed_report(result.behavior, query)
     return {
         "functional": functional.name,
@@ -258,52 +261,38 @@ def _cmd_randomness(args: argparse.Namespace) -> dict:
 
 
 # --- demos ----------------------------------------------------------------------
+#
+# One function runs every demo's shared steps in a fixed order: symmetries, local
+# bound, one certificate, see-saw optimum (or an explicit model), cross-check.
+# A spec holds only what differs.  Its constructors are lambdas so that module
+# globals are looked up when a demo runs, not when the table is built.
 
-def _certification_block(functional, generators) -> dict:
-    sweep = certify_all(functional, generators)
-    return {
-        "joint_bits": {
-            _query_key(q): b for q, b in sweep.items() if isinstance(q, JointQuery)
-        },
-        "local_bits": {
-            _query_key(q): b for q, b in sweep.items() if isinstance(q, LocalQuery)
-        },
-    }
+_TILT = 0.5
+_DemoRun = namedtuple("_DemoRun", "document functional generators cert queries behavior")
 
 
-def _optimize_block(functional, seed: int, queries=()) -> tuple[dict, object, object]:
-    result = optimize_violation(functional, seed=seed)
-    block = {
-        "value": result.value,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "seed": seed,
-        "status": "best-found",
-    }
-    if queries:
-        block["observed"] = {
-            _query_key(q): report_to_dict(observed_report(result.behavior, q))
-            for q in queries
-        }
-    return block, result, result.behavior
+class _Demo(NamedTuple):
+    functional: Callable[[], BellFunctional]
+    fields: Callable[[_DemoRun], dict]  # the demo's own fields and its summary
+    queries: Callable | None = None  # certificate -> queries; None: no certificate
+    observed: bool = False  # report the see-saw's randomness at the queries
+    shift_only: bool = False  # certify with the outcome shift alone
+    model: Callable | None = None  # explicit model instead of the see-saw
+    probe: bool = False  # compare the optima of three more seeds
+    bound_keys: tuple[str, ...] = ()  # extra local_bound fields
 
 
-def _cross_check_block(functional, generators, behavior, queries) -> dict:
-    cert = certify_uniform(
-        functional, generators, queries[0]
-    )
-    worst = orbit_equality_violation(cert, behavior)
+def _cross_check_block(cert, behavior, reports) -> dict:
     per_query = {}
-    for q in queries:
+    for q, report in reports.items():
         certified = cert.certified_bits(q)
-        observed = observed_report(behavior, q).min_entropy_bits
         per_query[_query_key(q)] = {
             "certified_bits": certified,
-            "observed_bits": observed,
-            "certified_le_observed": bool(certified <= observed + 2e-4),
+            "observed_bits": report.min_entropy_bits,
+            "certified_le_observed": bool(certified <= report.min_entropy_bits + 2e-4),
         }
     return {
-        "worst_orbit_equality_violation": worst,
+        "worst_orbit_equality_violation": orbit_equality_violation(cert, behavior),
         "queries": per_query,
         "assumes_unique_maximizer": True,
     }
@@ -312,267 +301,207 @@ def _cross_check_block(functional, generators, behavior, queries) -> dict:
 def _uniqueness_probe(functional, seeds=(11, 12, 13)) -> dict:
     """Distinct-seed behaviors compared pairwise; reported without judgment."""
     behaviors = [optimize_violation(functional, seed=s).behavior for s in seeds]
-    worst = 0.0
-    for i in range(len(behaviors)):
-        for j in range(i + 1, len(behaviors)):
-            worst = max(
-                worst, float(np.abs(behaviors[i].table - behaviors[j].table).max())
-            )
+    pairs = itertools.combinations(behaviors, 2)
+    worst = max(float(np.abs(p.table - q.table).max()) for p, q in pairs)
     return {"seeds": list(seeds), "max_pairwise_table_distance": worst}
 
 
-def _demo_chsh(seed: int) -> dict:
-    functional = chsh()
-    generators = find_symmetries(functional)
-    bound = local_bound(functional)
-    cert_block = _certification_block(functional, generators)
-    local_queries = [LocalQuery(i, x) for i in range(2) for x in range(2)]
-    opt_block, result, behavior = _optimize_block(
-        functional, seed, queries=local_queries
-    )
-    correlators = correlators_from_behavior(behavior)
-    one_body = max(
-        abs(v) for (p, s), v in correlators.values.items() if len(p) == 1
-    )
-    cross = _cross_check_block(functional, generators, behavior, local_queries)
+def _even_primed(functional) -> list[JointQuery]:
+    return [q for q in _joint_queries(functional.scenario) if sum(q.settings) % 2 == 0]
+
+
+def _chsh_fields(run: _DemoRun) -> dict:
+    correlators = correlators_from_behavior(run.behavior).values
+    observed = run.document["optimization"]["observed"]
     return {
-        "demo": "chsh",
-        "functional": functional_to_dict(functional),
-        "local_bound": {
-            "bound": _bound_as_number(bound.bound),
-            "maximizer_count": bound.maximizer_count,
-        },
-        "symmetries": {"count": len(generators)},
-        "certification": cert_block,
-        "optimization": opt_block,
-        "max_abs_one_body_correlator": one_body,
-        "cross_check": cross,
+        "max_abs_one_body_correlator": max(
+            abs(v) for (p, s), v in correlators.items() if len(p) == 1
+        ),
         "summary": {
-            "local_bits": cert_block["local_bits"],
-            "observed_local_bits": {
-                k: v["bits"] for k, v in opt_block["observed"].items()
-            },
+            "local_bits": run.document["certification"]["local_bits"],
+            "observed_local_bits": {k: v["bits"] for k, v in observed.items()},
         },
     }
 
 
-def _demo_tilted(seed: int, eta: float = 0.5) -> dict:
-    functional = tilted_chsh(eta)
-    generators = find_symmetries(functional)
-    cert_block = _certification_block(functional, generators)
-    opt_block, result, behavior = _optimize_block(functional, seed)
-    correlators = correlators_from_behavior(behavior)
-    a1 = correlators.get((0,), (0,))
-    a2 = correlators.get((0,), (1,))
-    queries = [LocalQuery(0, 0), LocalQuery(0, 1)]
-    cross = _cross_check_block(functional, generators, behavior, queries)
+def _tilted_fields(run: _DemoRun) -> dict:
+    correlators = correlators_from_behavior(run.behavior)
+    bits = {_query_key(q): run.cert.certified_bits(q) for q in run.queries}
     return {
-        "demo": "tilted",
-        "eta": eta,
-        "functional": functional_to_dict(functional),
-        "local_bound": {
-            "bound": _bound_as_number(local_bound(functional).bound),
-        },
+        "eta": _TILT,
         "symmetries": {
-            "count": len(generators),
-            "generators": [relabeling_to_dict(g) for g in generators],
+            "count": len(run.generators),
+            "generators": [relabeling_to_dict(g) for g in run.generators],
         },
-        "certification": cert_block,
-        "optimization": opt_block,
-        "marginal_correlators": {"A1": a1, "A2": a2},
-        "cross_check": cross,
+        "marginal_correlators": {
+            "A1": correlators.get((0,), (0,)),
+            "A2": correlators.get((0,), (1,)),
+        },
         "summary": {
-            "alice_certified_bits": {
-                "party=0,setting=0": cert_block["local_bits"]["party=0,setting=0"],
-                "party=0,setting=1": cert_block["local_bits"]["party=0,setting=1"],
-            },
-            "only_second_setting_certified": (
-                cert_block["local_bits"]["party=0,setting=0"] == 0.0
-                and cert_block["local_bits"]["party=0,setting=1"] == 1.0
-            ),
+            "alice_certified_bits": bits,
+            "only_second_setting_certified": list(bits.values()) == [0.0, 1.0],
         },
     }
 
 
-def _demo_chained_local(seed: int) -> dict:
-    m, d = 2, 3
-    functional = chained_modular(m, d)
-    shift = outcome_shift(functional.scenario)
-    generators = find_symmetries(functional)
-    # the local-randomness argument rests on the outcome shift alone; the
-    # certificate and the model cross-check use just that generator
-    cert_block = _certification_block(functional, [shift])
-    # near-optimal Fourier-phase qudit model, evaluated through the Born rule
-    model = phase_measurement_model(m, d, [0.0, 0.3812], [0.1906, 0.5718])
-    behavior = behavior_from_model(model)
-    value = evaluate(functional, behavior)
-    queries = [LocalQuery(i, x) for i in range(2) for x in range(m)]
-    cross = _cross_check_block(functional, [shift], behavior, queries)
+def _chained_local_fields(run: _DemoRun) -> dict:
+    sc = run.functional.scenario
+    shift = relabeling_to_dict(outcome_shift(sc))
     return {
-        "demo": "chained-local",
-        "m": m,
-        "d": d,
-        "functional": functional_to_dict(functional),
-        "local_bound": {
-            "bound": _bound_as_number(local_bound(functional).bound),
-            "orientation": "min",
-        },
-        "shift_symmetry_verified": relabeling_to_dict(shift) in [
-            relabeling_to_dict(g) for g in generators
-        ],
-        "symmetries": {"count": len(generators)},
-        "certification": cert_block,
-        "optimization": None,
-        "qudit_model_value": value,
-        "cross_check": cross,
+        "m": sc.settings[0],
+        "d": sc.outcomes,
+        "shift_symmetry_verified": shift in [relabeling_to_dict(g) for g in run.generators],
+        "qudit_model_value": evaluate(run.functional, run.behavior),
         "summary": {
-            "local_bits": cert_block["local_bits"],
-            "expected_local_bits": math.log2(d),
+            "local_bits": run.document["certification"]["local_bits"],
+            "expected_local_bits": math.log2(sc.outcomes),
         },
     }
 
 
-def _demo_chained_global(seed: int) -> dict:
-    functional = chained_correlator(3)
-    generators = find_symmetries(functional)
-    cert_block = _certification_block(functional, generators)
-    target = JointQuery((0, 1))
-    opt_block, result, behavior = _optimize_block(
-        functional, seed, queries=[target]
-    )
-    cross = _cross_check_block(functional, generators, behavior, [target])
+def _chained_global_fields(run: _DemoRun) -> dict:
+    bits = run.document["certification"]["joint_bits"]
     inequality_inputs = ["x=0,0", "x=1,1", "x=2,2", "x=1,0", "x=2,1", "x=0,2"]
+    below_two = all(bits[k] < 2.0 for k in inequality_inputs)
     return {
-        "demo": "chained-global",
-        "functional": functional_to_dict(functional),
-        "local_bound": {
-            "bound": _bound_as_number(local_bound(functional).bound),
-        },
-        "symmetries": {"count": len(generators)},
-        "certification": cert_block,
-        "optimization": opt_block,
-        "uniqueness_probe": _uniqueness_probe(functional),
-        "cross_check": cross,
         "summary": {
-            "target_joint_bits": cert_block["joint_bits"]["x=0,1"],
-            "inequality_inputs_below_two_bits": all(
-                cert_block["joint_bits"][k] < 2.0 for k in inequality_inputs
-            ),
+            "target_joint_bits": bits["x=0,1"],
+            "inequality_inputs_below_two_bits": below_two,
         },
     }
 
 
-def _demo_mermin_odd(seed: int) -> dict:
-    functional = mermin(3)
-    generators = find_symmetries(functional)
-    cert_block = _certification_block(functional, generators)
-    even_primed = [
-        JointQuery(x)
-        for x in functional.scenario.joint_inputs()
-        if sum(x) % 2 == 0
-    ]
-    opt_block, result, behavior = _optimize_block(functional, seed, queries=even_primed)
-    correlators = correlators_from_behavior(behavior)
-    absent = max(
-        abs(v)
-        for (p, s), v in correlators.values.items()
-        if not (len(p) == 3 and sum(s) % 2 == 1)
-    )
-    cross = _cross_check_block(functional, generators, behavior, even_primed)
+def _mermin_odd_fields(run: _DemoRun) -> dict:
+    parties = run.functional.scenario.parties
+    correlators = correlators_from_behavior(run.behavior).values
     five = mermin(5)
-    gens5 = find_symmetries(five)
-    sweep5 = certify_all(five, gens5)
-    bits5 = {
-        _query_key(q): b
-        for q, b in sweep5.items()
-        if isinstance(q, JointQuery) and sum(q.settings) % 2 == 0
-    }
+    cert5 = _certificate(five, find_symmetries(five))
+    bits5 = {_query_key(q): cert5.certified_bits(q) for q in _even_primed(five)}
+    bits3 = {_query_key(q): run.cert.certified_bits(q) for q in run.queries}
     return {
-        "demo": "mermin-odd",
-        "functional": functional_to_dict(functional),
-        "local_bound": {
-            "bound": _bound_as_number(local_bound(functional).bound),
-        },
-        "symmetries": {"count": len(generators)},
-        "certification": cert_block,
-        "optimization": opt_block,
-        "max_abs_correlator_absent_from_inequality": absent,
-        "cross_check": cross,
+        "max_abs_correlator_absent_from_inequality": max(
+            abs(v)
+            for (p, s), v in correlators.items()
+            if not (len(p) == parties and sum(s) % 2 == 1)
+        ),
         "five_party_certification": {
             "even_primed_joint_bits": bits5,
             "all_five_bits": all(abs(b - 5.0) < 1e-12 for b in bits5.values()),
         },
-        "summary": {
-            "even_primed_joint_bits": {
-                _query_key(q): cert_block["joint_bits"][_query_key(q)]
-                for q in even_primed
-            },
-        },
+        "summary": {"even_primed_joint_bits": bits3},
     }
 
 
-def _demo_mermin_even(seed: int) -> dict:
-    functional = mermin(4)
-    generators = find_symmetries(functional)
-    cert_block = _certification_block(functional, generators)
-    best_key = max(cert_block["joint_bits"], key=cert_block["joint_bits"].get)
-    best_query = JointQuery(
-        tuple(int(tok) for tok in best_key[2:].split(","))
-    )
-    opt_block, result, behavior = _optimize_block(functional, seed, queries=[best_query])
-    cross = _cross_check_block(functional, generators, behavior, [best_query])
+def _mermin_even_fields(run: _DemoRun) -> dict:
+    bits = run.document["certification"]["joint_bits"]
+    parties = run.functional.scenario.parties
+    return {"summary": {"max_joint_bits": max(bits.values()), "parties": parties}}
+
+
+def _lifted_fields(run: _DemoRun) -> dict:
+    bound = run.document["local_bound"]
     return {
-        "demo": "mermin-even",
-        "functional": functional_to_dict(functional),
-        "local_bound": {
-            "bound": _bound_as_number(local_bound(functional).bound),
-        },
-        "symmetries": {"count": len(generators)},
-        "certification": cert_block,
-        "optimization": opt_block,
-        "cross_check": cross,
         "summary": {
-            "max_joint_bits": max(cert_block["joint_bits"].values()),
-            "parties": 4,
+            "classically_nonpositive": bound["bound"] == 0,
+            "several_classical_maximizers": bound["maximizer_count"] > 1,
         },
     }
 
 
-def _demo_lifted(seed: int) -> dict:
-    functional = lifted_chsh_c()
+_DEMOS = {
+    "chsh": _Demo(
+        lambda: chsh(),
+        _chsh_fields,
+        queries=lambda cert: _local_queries(cert.functional.scenario),
+        observed=True,
+        bound_keys=("maximizer_count",),
+    ),
+    "tilted": _Demo(
+        lambda: tilted_chsh(_TILT),
+        _tilted_fields,
+        queries=lambda cert: [LocalQuery(0, 0), LocalQuery(0, 1)],
+    ),
+    "chained-local": _Demo(
+        lambda: chained_modular(2, 3),
+        _chained_local_fields,
+        queries=lambda cert: _local_queries(cert.functional.scenario),
+        shift_only=True,
+        # near-optimal Fourier-phase qudit model
+        model=lambda: phase_measurement_model(2, 3, [0.0, 0.3812], [0.1906, 0.5718]),
+        bound_keys=("orientation",),
+    ),
+    "chained-global": _Demo(
+        lambda: chained_correlator(3),
+        _chained_global_fields,
+        queries=lambda cert: [JointQuery((0, 1))],
+        observed=True,
+        probe=True,
+    ),
+    "mermin-odd": _Demo(
+        lambda: mermin(3),
+        _mermin_odd_fields,
+        queries=lambda cert: _even_primed(cert.functional),
+        observed=True,
+    ),
+    "mermin-even": _Demo(
+        lambda: mermin(4),
+        _mermin_even_fields,
+        # the joint input with the most certified bits
+        queries=lambda cert: [
+            max(_joint_queries(cert.functional.scenario), key=cert.certified_bits)
+        ],
+        observed=True,
+    ),
+    "lifted": _Demo(
+        lambda: lifted_chsh_c(),
+        _lifted_fields,
+        probe=True,
+        bound_keys=("maximizer_count",),
+    ),
+}
+DEMO_NAMES = tuple(_DEMOS)
+
+
+def _run_demo(name: str, seed: int) -> dict:
+    spec = _DEMOS[name]
+    functional = spec.functional()
+    generators = find_symmetries(functional)
     bound = local_bound(functional)
-    generators = find_symmetries(functional)
-    opt_block, result, behavior = _optimize_block(functional, seed)
-    return {
-        "demo": "lifted",
+    bound_fields = {
+        "bound": _bound_as_number(bound.bound),
+        "maximizer_count": bound.maximizer_count,
+        "orientation": functional.orientation,
+    }
+    document = {
+        "demo": name,
         "functional": functional_to_dict(functional),
-        "local_bound": {
-            "bound": _bound_as_number(bound.bound),
-            "maximizer_count": bound.maximizer_count,
-        },
+        "local_bound": {k: bound_fields[k] for k in ("bound", *spec.bound_keys)},
         "symmetries": {"count": len(generators)},
-        "optimization": opt_block,
-        "uniqueness_probe": _uniqueness_probe(functional),
-        "summary": {
-            "classically_nonpositive": _bound_as_number(bound.bound) == 0,
-            "several_classical_maximizers": bound.maximizer_count > 1,
-        },
+        "optimization": None,
     }
-
-
-def _cmd_demo(args: argparse.Namespace) -> dict:
-    demos = {
-        "chsh": _demo_chsh,
-        "tilted": _demo_tilted,
-        "chained-local": _demo_chained_local,
-        "chained-global": _demo_chained_global,
-        "mermin-odd": _demo_mermin_odd,
-        "mermin-even": _demo_mermin_even,
-        "lifted": _demo_lifted,
-    }
-    if args.name not in demos:
-        raise UsageError(f"unknown demo {args.name!r}; choose from {', '.join(DEMO_NAMES)}")
-    return demos[args.name](args.seed)
+    cert, queries = None, []
+    if spec.queries is not None:
+        gens = [outcome_shift(functional.scenario)] if spec.shift_only else generators
+        cert = _certificate(functional, gens)
+        queries = spec.queries(cert)
+        document["certification"] = _bits_block(cert)
+    if spec.model is None:
+        result = optimize_violation(functional, seed=seed)
+        behavior = result.behavior
+        document["optimization"] = _optimum(result)
+    else:
+        behavior = behavior_from_model(spec.model())
+    reports = {q: observed_report(behavior, q) for q in queries}
+    if spec.observed:
+        observed = {_query_key(q): report_to_dict(r) for q, r in reports.items()}
+        document["optimization"]["observed"] = observed
+    if cert is not None:
+        document["cross_check"] = _cross_check_block(cert, behavior, reports)
+    if spec.probe:
+        document["uniqueness_probe"] = _uniqueness_probe(functional)
+    run = _DemoRun(document, functional, generators, cert, queries, behavior)
+    document.update(spec.fields(run))
+    return document
 
 
 # --- entry point -----------------------------------------------------------------
@@ -638,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo", help="end-to-end worked examples")
     p.add_argument("name", choices=DEMO_NAMES)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_demo)
+    p.set_defaults(func=lambda args: _run_demo(args.name, args.seed))
     return parser
 
 

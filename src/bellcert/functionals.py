@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -39,8 +40,11 @@ MAX_LISTED_MAXIMIZERS = 10**4
 
 
 def _as_dyadic(value) -> Fraction:
-    """Coerce to an exact dyadic rational (every float already is one)."""
-    frac = Fraction(value)
+    """Coerce to an exact dyadic rational (every finite float already is one)."""
+    try:
+        frac = Fraction(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"coefficient {value!r} is not a finite number") from exc
     den = frac.denominator
     if den & (den - 1):
         raise ValidationError(f"coefficient {value!r} is not dyadic (denominator {den})")
@@ -510,17 +514,22 @@ def functional_to_dict(functional: BellFunctional) -> dict:
 
 
 def functional_from_dict(data: Mapping) -> BellFunctional:
-    scenario = Scenario(tuple(data["settings"]), data["outcomes"])
-    if data.get("parties") not in (None, scenario.parties):
-        raise ValidationError("party count does not match the settings list")
-    coeffs: dict[tuple[int, int], Fraction] = {}
-    for term in data["terms"]:
-        key = (
-            scenario.input_index(tuple(term["x"])),
-            scenario.outcome_index(tuple(term["a"])),
-        )
-        c = Fraction(int(term["c_num"]), 1 << int(term["c_log2_den"]))
-        coeffs[key] = coeffs.get(key, Fraction(0)) + c
+    try:
+        scenario = Scenario(tuple(data["settings"]), data["outcomes"])
+        if data.get("parties") not in (None, scenario.parties):
+            raise ValidationError("party count does not match the settings list")
+        coeffs: dict[tuple[int, int], Fraction] = {}
+        for term in data["terms"]:
+            key = (
+                scenario.input_index(tuple(term["x"])),
+                scenario.outcome_index(tuple(term["a"])),
+            )
+            c = Fraction(operator.index(term["c_num"]), 1 << term["c_log2_den"])
+            coeffs[key] = coeffs.get(key, Fraction(0)) + c
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed functional: {exc!r}") from exc
     return BellFunctional(
         scenario,
         coeffs,
