@@ -1,16 +1,18 @@
 """Bell functionals: constructors, evaluation, and exact classical bounds.
 
 A :class:`BellFunctional` is a linear form sum_{x,a} c(a,x) P(a|x) with an
-orientation (maximize or minimize over behaviors).  Coefficients are exact
-dyadic rationals (integer over a power of two) so that structural
-comparisons, in particular the symmetry checks built on top of them, are
-exact; evaluation converts to floating point.
+orientation (maximize or minimize over behaviors).  Its coefficients are one
+exact int64 table C of shape (num_inputs, num_outcomes) and an exponent L,
+c(a,x) = C[x, a] / 2**L in lowest terms, so structural comparisons, in
+particular the symmetry checks built on top of them, are exact; evaluation
+converts to floating point.  Construction checks once that max|C| *
+num_inputs < 2**62, the range of :func:`local_bound`'s exact int64 sums.
 
 Two-outcome functionals can equivalently be written in terms of correlators.
 :func:`from_correlator_terms` builds the probability-coefficient table from
 a correlator-weight mapping, distributing each weight uniformly over the
 joint inputs compatible with it, and :func:`correlator_terms` inverts that
-change of basis.
+change of basis, each by an exact integer Walsh-Hadamard transform.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -55,67 +58,118 @@ def _log2_den(frac: Fraction) -> int:
     return frac.denominator.bit_length() - 1
 
 
-@dataclass(frozen=True, eq=False)
+def _index_rows(rows: list, limits: tuple[int, ...], what: str) -> np.ndarray:
+    """Rows of integer indices as a (len(rows), len(limits)) int64 array,
+    column j checked against 0 <= index < limits[j]."""
+    digits = np.array(rows or np.zeros((0, len(limits)), np.int64))
+    if digits.dtype.kind not in "iu" or digits.shape != (len(rows), len(limits)):
+        raise ValidationError(f"every {what} needs {len(limits)} integer indices")
+    if ((digits < 0) | (digits >= np.array(limits))).any():
+        raise ValidationError(f"a {what} is out of range {limits}")
+    return digits
+
+
+def _exact_dtype(magnitude: int):
+    """int64 below 2**63, else exact Python integers (object arrays)."""
+    return np.int64 if magnitude < 1 << 63 else object
+
+
+def _sum_terms(scenario: Scenario, events, nums, exps) -> tuple[np.ndarray, int]:
+    """Exact flat table and exponent of the sum of nums[k] / 2**exps[k] at
+    flat event index events[k]."""
+    log2_den = max(exps, default=0)
+    scaled = [c << (log2_den - e) for c, e in zip(nums, exps)]
+    table = np.zeros(
+        scenario.num_inputs * scenario.num_outcomes,
+        dtype=_exact_dtype(sum(map(abs, scaled))),
+    )
+    np.add.at(table, np.asarray(events, dtype=np.int64), np.array(scaled, dtype=table.dtype))
+    return table, log2_den
+
+
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class BellFunctional:
     """A linear functional on behaviors with orientation and a label.
 
-    ``coefficients`` maps ``(joint input index, joint outcome index)`` to an
-    exact dyadic :class:`~fractions.Fraction`; absent pairs have coefficient
-    zero.
+    ``table[x, a] / 2**log2_den`` is the coefficient of P(a|x) at joint input
+    index ``x`` and joint outcome index ``a``, in lowest terms; ``table`` is
+    a read-only int64 array.  The constructor takes a mapping ``(x, a) ->
+    number`` of exact dyadic values (every finite float is one); absent pairs
+    have coefficient zero.
     """
 
     scenario: Scenario
-    coefficients: Mapping[tuple[int, int], Fraction]
-    orientation: Orientation = "max"
-    name: str = ""
+    table: np.ndarray
+    log2_den: int
+    orientation: Orientation
+    name: str
 
-    def __post_init__(self) -> None:
-        if self.orientation not in ("max", "min"):
-            raise ValidationError(f"orientation must be 'max' or 'min', got {self.orientation!r}")
-        cleaned: dict[tuple[int, int], Fraction] = {}
-        for (x, a), c in self.coefficients.items():
-            x, a = int(x), int(a)
-            if not 0 <= x < self.scenario.num_inputs:
-                raise ValidationError(f"input index {x} out of range")
-            if not 0 <= a < self.scenario.num_outcomes:
-                raise ValidationError(f"outcome index {a} out of range")
-            c = _as_dyadic(c)
-            if c != 0:
-                cleaned[(x, a)] = c
-        object.__setattr__(self, "coefficients", cleaned)
+    def __init__(
+        self,
+        scenario: Scenario,
+        coefficients: Mapping,
+        orientation: Orientation = "max",
+        name: str = "",
+    ) -> None:
+        limits = (scenario.num_inputs, scenario.num_outcomes)
+        events = _index_rows(list(coefficients), limits, "(x, a) key") @ (limits[1], 1)
+        fracs = [_as_dyadic(c) for c in coefficients.values()]
+        nums, exps = [f.numerator for f in fracs], [_log2_den(f) for f in fracs]
+        self._set(scenario, *_sum_terms(scenario, events, nums, exps), orientation, name)
 
-    # -- structural views ---------------------------------------------------
+    @classmethod
+    def _from_table(cls, scenario, table, log2_den, orientation="max", name=""):
+        """The functional ``table / 2**log2_den``: int64 or Python-int entries,
+        any shape with the scenario's number of events."""
+        functional = cls.__new__(cls)
+        functional._set(scenario, table, log2_den, orientation, name)
+        return functional
+
+    def _set(self, scenario, table, log2_den, orientation, name) -> None:
+        if orientation not in ("max", "min"):
+            raise ValidationError(f"orientation must be 'max' or 'min', got {orientation!r}")
+        # cancel the powers of two every entry shares with 2**log2_den
+        bits = int(np.bitwise_or.reduce(table, axis=None))
+        shift = min(log2_den, (bits & -bits).bit_length() - 1) if bits else log2_den
+        table, log2_den = table >> shift, log2_den - shift
+        peak = int(np.abs(table).max(initial=0))
+        if peak * scenario.num_inputs >= 1 << 62:
+            raise ValidationError(
+                f"coefficients over their common denominator 2^{log2_den} do not fit "
+                f"exact int64 arithmetic: the largest numerator has {peak.bit_length()} "
+                f"bits, and times {scenario.num_inputs} inputs it must stay below 2^62"
+            )
+        table = table.astype(np.int64).reshape(scenario.num_inputs, scenario.num_outcomes)
+        table.setflags(write=False)
+        self.__dict__.update(
+            scenario=scenario, table=table, log2_den=log2_den, orientation=orientation, name=name
+        )
+
+    # -- derived views --------------------------------------------------------
 
     @cached_property
-    def scaled_table(self) -> tuple[np.ndarray, int]:
-        """Dense integer table C and exponent L with coefficient = C / 2**L."""
-        scale = max((_log2_den(c) for c in self.coefficients.values()), default=0)
-        dense = np.zeros(
-            (self.scenario.num_inputs, self.scenario.num_outcomes), dtype=np.int64
-        )
-        for (x, a), c in self.coefficients.items():
-            scaled = c.numerator << (scale - _log2_den(c))
-            if abs(scaled) > 2**52:
-                raise ValidationError("coefficient too large for exact arithmetic")
-            dense[x, a] = scaled
-        dense.setflags(write=False)
-        return dense, scale
+    def coefficients(self) -> Mapping[tuple[int, int], Fraction]:
+        """Read-only ``(x, a) -> Fraction`` view of the nonzero coefficients."""
+        xs, as_ = np.nonzero(self.table)
+        values = (Fraction(c, 1 << self.log2_den) for c in self.table[xs, as_].tolist())
+        return MappingProxyType(dict(zip(zip(xs.tolist(), as_.tolist()), values)))
 
     @cached_property
     def float_table(self) -> np.ndarray:
-        dense, scale = self.scaled_table
-        table = dense.astype(float) / (1 << scale)
+        table = np.ldexp(self.table.astype(float), -self.log2_den)
         table.setflags(write=False)
         return table
 
     def same_coefficients(self, other: "BellFunctional") -> bool:
         """Exact coefficient-table equality (name and orientation ignored)."""
-        return self.scenario == other.scenario and self.coefficients == other.coefficients
+        same_scale = (self.scenario, self.log2_den) == (other.scenario, other.log2_den)
+        return same_scale and np.array_equal(self.table, other.table)
 
     def __repr__(self) -> str:  # keep test failure output readable
         return (
             f"BellFunctional({self.name or 'unnamed'}, settings={self.scenario.settings}, "
-            f"d={self.scenario.outcomes}, {self.orientation}, {len(self.coefficients)} terms)"
+            f"d={self.scenario.outcomes}, {self.orientation}, "
+            f"{np.count_nonzero(self.table)} terms)"
         )
 
 
@@ -131,17 +185,36 @@ def evaluate(functional: BellFunctional, behavior: Behavior) -> float:
 def evaluate_on_strategy(functional: BellFunctional, strategy: Strategy) -> Fraction:
     """Exact value on a local deterministic strategy."""
     scenario = functional.scenario
-    total = Fraction(0)
-    for x_idx in range(scenario.num_inputs):
-        x = scenario.input_tuple(x_idx)
-        a = tuple(strategy[i][xi] for i, xi in enumerate(x))
-        total += functional.coefficients.get((x_idx, scenario.outcome_index(a)), Fraction(0))
-    return total
+    if len(strategy) != scenario.parties:
+        raise ValidationError("strategy needs one setting->outcome map per party")
+    outcome = np.zeros(scenario.num_inputs, dtype=np.int64)
+    for i, m in enumerate(scenario.settings):
+        digits = np.asarray(strategy[i], dtype=np.int64)
+        if digits.shape != (m,) or digits.min() < 0 or digits.max() >= scenario.outcomes:
+            raise ValidationError(
+                f"party {i} needs one outcome in 0..{scenario.outcomes - 1} per setting"
+            )
+        outcome += digits[scenario.input_digits[:, i]] * scenario.outcome_strides[i]
+    total = functional.table[np.arange(scenario.num_inputs), outcome].sum()
+    return Fraction(int(total), 1 << functional.log2_den)
 
 
 # --- correlator view (two-outcome scenarios) --------------------------------
 
 CorrelatorKey = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _butterfly(table: np.ndarray, n: int) -> np.ndarray:
+    """Exact Walsh-Hadamard transform over the last ``n`` (two-outcome) axes.
+
+    Entry b of the result is the sum over a of entry a times the product,
+    over the parties i with b_i = 1, of the sign 1 - 2 a_i.  The transform is
+    its own inverse up to a factor 2**n.
+    """
+    for axis in range(table.ndim - n, table.ndim):
+        low, high = np.take(table, 0, axis=axis), np.take(table, 1, axis=axis)
+        table = np.stack((low + high, low - high), axis=axis)
+    return table
 
 
 def from_correlator_terms(
@@ -159,36 +232,43 @@ def from_correlator_terms(
     """
     if scenario.outcomes != 2:
         raise ValidationError("correlator terms require a two-outcome scenario")
-    signs = scenario.outcome_signs
-    coeffs: dict[tuple[int, int], Fraction] = {}
+    n = scenario.parties
+    places, shares = [], []
     for (parties, assignment), weight in terms.items():
         weight = _as_dyadic(weight)
         if weight == 0:
             continue
-        parties = tuple(parties)
+        parties, assignment = tuple(parties), tuple(assignment)
         if list(parties) != sorted(set(parties)):
             raise ValidationError(f"party subset {parties} must be strictly increasing")
-        n_ext = math.prod(
-            scenario.settings[i] for i in range(scenario.parties) if i not in parties
-        )
+        if len(assignment) != len(parties) or not all(
+            0 <= i < n and 0 <= s < scenario.settings[i] for i, s in zip(parties, assignment)
+        ):
+            raise ValidationError(f"settings {assignment} do not fit party subset {parties}")
+        n_ext = math.prod(scenario.settings[i] for i in range(n) if i not in parties)
         share = weight / n_ext  # must stay dyadic
         if share.denominator & (share.denominator - 1):
             raise ValidationError(
                 f"weight for {parties} cannot be spread dyadically over {n_ext} inputs"
             )
-        extending = []
-        for x_idx in range(scenario.num_inputs):
-            x = scenario.input_tuple(x_idx)
-            if all(x[i] == s for i, s in zip(parties, assignment)):
-                extending.append(x_idx)
-        for a_idx in range(scenario.num_outcomes):
-            sign = 1
-            for i in parties:
-                sign *= int(signs[a_idx, i])
-            for x_idx in extending:
-                key = (x_idx, a_idx)
-                coeffs[key] = coeffs.get(key, Fraction(0)) + share * sign
-    return BellFunctional(scenario, coeffs, orientation=orientation, name=name)
+        # the share sits at every setting of the other parties and at the
+        # subset's bits of the transformed outcome axes
+        setting = dict(zip(parties, assignment))
+        places.append(
+            tuple(setting.get(i, slice(None)) for i in range(n))
+            + tuple(int(i in setting) for i in range(n))
+        )
+        shares.append(share)
+    log2_den = max(map(_log2_den, shares), default=0)
+    nums = [s.numerator << (log2_den - _log2_den(s)) for s in shares]
+    hat = np.zeros(
+        scenario.settings + (2,) * n, dtype=_exact_dtype(sum(map(abs, nums)))
+    )
+    for place, num in zip(places, nums):
+        hat[place] += num
+    return BellFunctional._from_table(
+        scenario, _butterfly(hat, n), log2_den, orientation=orientation, name=name
+    )
 
 
 def correlator_terms(
@@ -204,61 +284,45 @@ def correlator_terms(
     if scenario.outcomes != 2:
         raise ValidationError("correlator view requires a two-outcome scenario")
     n = scenario.parties
-    x_digits = scenario.input_digits
-    a_digits = scenario.outcome_digits
+    peak = int(np.abs(functional.table).max(initial=0))
+    hat = functional.table.astype(_exact_dtype(peak * scenario.num_inputs << n))
+    # transform over outcomes per joint input, then sum each subset's column
+    # over the settings of the parties outside it
+    hat = _butterfly(hat.reshape(scenario.settings + (2,) * n), n)
+    den = 1 << (n + functional.log2_den)
+    constant = Fraction(int(hat[(Ellipsis,) + (0,) * n].sum()), den)
     terms: dict[CorrelatorKey, Fraction] = {}
-    constant = Fraction(0)
-    # Fourier transform over outcomes per joint input, then aggregate by the
-    # subset's setting assignment.
-    per_input: dict[int, dict[tuple[int, ...], Fraction]] = {}
-    for (x_idx, a_idx), c in functional.coefficients.items():
-        per_input.setdefault(x_idx, {})[tuple(int(v) for v in a_digits[a_idx])] = c
-    for x_idx, row in per_input.items():
-        x = tuple(int(v) for v in x_digits[x_idx])
-        for r in range(0, n + 1):
-            for parties in itertools.combinations(range(n), r):
-                hat = Fraction(0)
-                for a, c in row.items():
-                    sign = 1
-                    for i in parties:
-                        sign *= 1 - 2 * a[i]
-                    hat += c * sign
-                hat /= 2**n
-                if hat == 0:
-                    continue
-                if not parties:
-                    constant += hat
-                else:
-                    key = (parties, tuple(x[i] for i in parties))
-                    terms[key] = terms.get(key, Fraction(0)) + hat
-    return {k: v for k, v in terms.items() if v != 0}, constant
+    for r in range(1, n + 1):
+        for parties in itertools.combinations(range(n), r):
+            column = hat[(Ellipsis,) + tuple(int(i in parties) for i in range(n))]
+            summed = column.sum(axis=tuple(i for i in range(n) if i not in parties))
+            for assignment in zip(*(idx.tolist() for idx in np.nonzero(summed))):
+                terms[(parties, assignment)] = Fraction(int(summed[assignment]), den)
+    return terms, constant
 
 
 # --- named constructors ------------------------------------------------------
 
+def _full_correlators(weights: np.ndarray, log2_den: int, name: str) -> BellFunctional:
+    """sum_x weights[x] / 2**log2_den <A^(x_0) B^(x_1) ...> on (N, weights.shape, 2)
+    from an integer array of full-correlator weights, one axis per party."""
+    n = weights.ndim
+    hat = np.zeros(weights.shape + (2,) * n, dtype=np.int64)
+    hat[(Ellipsis,) + (1,) * n] = weights
+    scenario = Scenario(weights.shape, 2)
+    return BellFunctional._from_table(scenario, _butterfly(hat, n), log2_den, name=name)
+
+
 def chsh() -> BellFunctional:
     """The Clauser-Horne-Shimony-Holt functional on the (2,2,2) scenario."""
-    scenario = Scenario((2, 2), 2)
-    terms = {
-        ((0, 1), (0, 0)): 1,
-        ((0, 1), (0, 1)): 1,
-        ((0, 1), (1, 0)): 1,
-        ((0, 1), (1, 1)): -1,
-    }
-    return from_correlator_terms(scenario, terms, name="chsh")
+    return _full_correlators(np.array([[1, 1], [1, -1]]), 0, "chsh")
 
 
 def tilted_chsh(eta: float) -> BellFunctional:
     """CHSH plus ``eta`` times the first-setting marginal of party 0."""
-    scenario = Scenario((2, 2), 2)
-    terms: dict[CorrelatorKey, object] = {
-        ((0, 1), (0, 0)): 1,
-        ((0, 1), (0, 1)): 1,
-        ((0, 1), (1, 0)): 1,
-        ((0, 1), (1, 1)): -1,
-        ((0,), (0,)): _as_dyadic(eta),
-    }
-    return from_correlator_terms(scenario, terms, name=f"tilted-chsh({eta})")
+    terms: dict[CorrelatorKey, object] = correlator_terms(chsh())[0]
+    terms[((0,), (0,))] = _as_dyadic(eta)
+    return from_correlator_terms(Scenario((2, 2), 2), terms, name=f"tilted-chsh({eta})")
 
 
 def chained_modular(m: int, d: int) -> BellFunctional:
@@ -273,25 +337,16 @@ def chained_modular(m: int, d: int) -> BellFunctional:
     if d < 2:
         raise ValidationError("chained inequality needs at least two outcomes")
     scenario = Scenario((m, m), d)
-    coeffs: dict[tuple[int, int], Fraction] = {}
-
-    def add(x_a: int, x_b: int, residue) -> None:
-        x_idx = scenario.input_index((x_a, x_b))
-        for a in range(d):
-            for b in range(d):
-                a_idx = scenario.outcome_index((a, b))
-                key = (x_idx, a_idx)
-                coeffs[key] = coeffs.get(key, Fraction(0)) + residue(a, b)
-
-    for i in range(m):
-        add(i, i, lambda a, b: Fraction((a - b) % d))
-        if i + 1 < m:
-            add(i + 1, i, lambda a, b: Fraction((b - a) % d))
-        else:
-            # A_{M+1} = A_1 + 1: the residue uses the shifted outcome of A_1
-            add(0, i, lambda a, b: Fraction((b - a - 1) % d))
-    return BellFunctional(
-        scenario, coeffs, orientation="min", name=f"chained-modular({m},{d})"
+    a = np.arange(d)[:, None]
+    b = np.arange(d)[None, :]
+    table = np.zeros((m, m, d, d), dtype=np.int64)  # (x_a, x_b, a, b)
+    settings = np.arange(m)
+    table[settings, settings] += (a - b) % d
+    table[settings[1:], settings[:-1]] += (b - a) % d
+    # A_{M+1} = A_1 + 1: the residue uses the shifted outcome of A_1
+    table[0, m - 1] += (b - a - 1) % d
+    return BellFunctional._from_table(
+        scenario, table, 0, orientation="min", name=f"chained-modular({m},{d})"
     )
 
 
@@ -304,44 +359,9 @@ def chained_correlator(m: int) -> BellFunctional:
     """
     if m < 2:
         raise ValidationError("chained inequality needs at least two settings")
-    scenario = Scenario((m, m), 2)
-    terms: dict[CorrelatorKey, int] = {}
-    for i in range(m):
-        terms[((0, 1), (i, i))] = 1
-    for i in range(m - 1):
-        terms[((0, 1), (i + 1, i))] = 1
-    terms[((0, 1), (0, m - 1))] = -1
-    return from_correlator_terms(scenario, terms, name=f"chained-correlator({m})")
-
-
-def _mermin_terms(n: int) -> dict[tuple[int, ...], Fraction]:
-    """Full-correlator weights of the N-party Mermin functional, by recursion."""
-    terms: dict[tuple[int, ...], Fraction] = {
-        (0, 0): Fraction(1),
-        (0, 1): Fraction(1),
-        (1, 0): Fraction(1),
-        (1, 1): Fraction(-1),
-    }
-    for _ in range(3, n + 1):
-        swapped = {tuple(1 - s for s in key): c for key, c in terms.items()}
-        grown: dict[tuple[int, ...], Fraction] = {}
-        for key in terms.keys() | swapped.keys():
-            plain = terms.get(key, Fraction(0))
-            primed = swapped.get(key, Fraction(0))
-            lo = (plain + primed) / 2
-            hi = (plain - primed) / 2
-            if lo:
-                grown[key + (0,)] = lo
-            if hi:
-                grown[key + (1,)] = hi
-        terms = grown
-    # For odd N every surviving term has the same prime-count parity, but the
-    # recursion alternates which parity that is with period four in N.  Use
-    # the primed twin when needed so odd-N functionals always carry the
-    # odd-primed labeling convention.
-    if n % 2 == 1 and sum(next(iter(terms))) % 2 == 0:
-        terms = {tuple(1 - s for s in key): c for key, c in terms.items()}
-    return terms
+    weights = np.eye(m, dtype=np.int64) + np.eye(m, k=-1, dtype=np.int64)
+    weights[0, m - 1] = -1
+    return _full_correlators(weights, 0, f"chained-correlator({m})")
 
 
 def mermin(n: int) -> BellFunctional:
@@ -353,11 +373,17 @@ def mermin(n: int) -> BellFunctional:
     """
     if n < 2:
         raise ValidationError("the Mermin family starts at two parties")
-    scenario = Scenario((2,) * n, 2)
-    terms = {
-        (tuple(range(n)), key): c for key, c in _mermin_terms(n).items()
-    }
-    return from_correlator_terms(scenario, terms, name=f"mermin({n})")
+    weights = np.array([[1, 1], [1, -1]])  # in units of 2**-(parties - 2)
+    for _ in range(3, n + 1):
+        twin = np.flip(weights)  # every party's two settings swapped
+        weights = np.stack((weights + twin, weights - twin), axis=-1)
+    # For odd N every nonzero weight has the same prime-count parity, but the
+    # recursion alternates which parity that is with period four in N.  Use
+    # the primed twin when needed so odd-N functionals always carry the
+    # odd-primed labeling convention.
+    if n % 2 == 1 and np.argwhere(weights)[0].sum() % 2 == 0:
+        weights = np.flip(weights)
+    return _full_correlators(weights, n - 2, f"mermin({n})")
 
 
 def lifted_chsh_c() -> BellFunctional:
@@ -369,22 +395,11 @@ def lifted_chsh_c() -> BellFunctional:
     with 0 attained.
     """
     scenario = Scenario((2, 2, 1), 2)
-    base = chsh()
-    coeffs: dict[tuple[int, int], Fraction] = {}
-    for (x_idx, a_idx), c in base.coefficients.items():
-        xa, xb = base.scenario.input_tuple(x_idx)
-        aa, ab = base.scenario.outcome_tuple(a_idx)
-        key = (scenario.input_index((xa, xb, 0)), scenario.outcome_index((aa, ab, 0)))
-        coeffs[key] = coeffs.get(key, Fraction(0)) + c
-    # -2 * P(c = +1), spread uniformly over the four (A, B) joint inputs
-    for xa in range(2):
-        for xb in range(2):
-            x_idx = scenario.input_index((xa, xb, 0))
-            for aa in range(2):
-                for ab in range(2):
-                    key = (x_idx, scenario.outcome_index((aa, ab, 0)))
-                    coeffs[key] = coeffs.get(key, Fraction(0)) - Fraction(1, 2)
-    return BellFunctional(scenario, coeffs, name="lifted-chsh-c")
+    # in halves: CHSH (integer coefficients) minus 1/2 at c = +1, that is
+    # -2 * P(c = +1) spread uniformly over the four (A, B) joint inputs
+    table = np.zeros((2, 2, 1, 2, 2, 2), dtype=np.int64)  # (x_a, x_b, x_c, a, b, c)
+    table[:, :, 0, :, :, 0] = 2 * chsh().table.reshape(2, 2, 2, 2) - 1
+    return BellFunctional._from_table(scenario, table, 1, name="lifted-chsh-c")
 
 
 # --- classical bound by exhaustive enumeration -------------------------------
@@ -406,17 +421,18 @@ class LocalBoundReport:
     maximizers: tuple[Strategy, ...]
 
 
+def _strategy_strides(scenario: Scenario) -> tuple[list[int], list[int]]:
+    """Per-party strategy counts d**M_i and their mixed-radix strides, party 0
+    most significant."""
+    sizes = [scenario.outcomes**m for m in scenario.settings]
+    return sizes, [math.prod(sizes[i + 1 :]) for i in range(len(sizes))]
+
+
 def _strategy_from_index(scenario: Scenario, index: int) -> Strategy:
-    # mixed-radix decode, party 0 most significant; within a party the
-    # outcome for setting x is the base-d digit at position M_i - 1 - x
+    # within a party the outcome for setting x is the base-d digit at
+    # position M_i - 1 - x
     d = scenario.outcomes
-    sizes = [d**m for m in scenario.settings]
-    strides = []
-    acc = 1
-    for size in reversed(sizes):
-        strides.append(acc)
-        acc *= size
-    strides = list(reversed(strides))
+    sizes, strides = _strategy_strides(scenario)
     out: list[tuple[int, ...]] = []
     for size, stride, m in zip(sizes, strides, scenario.settings):
         t = (index // stride) % size
@@ -438,19 +454,13 @@ def local_bound(
     """
     scenario = functional.scenario
     d = scenario.outcomes
-    sizes = [d**m for m in scenario.settings]
+    sizes, strides = _strategy_strides(scenario)
     total = math.prod(sizes)
     if total > cap:
         raise CapExceededError(
             f"{total} deterministic strategies exceed the cap of {cap}"
         )
-    dense, scale = functional.scaled_table
-    strides = []
-    acc = 1
-    for size in reversed(sizes):
-        strides.append(acc)
-        acc *= size
-    strides = list(reversed(strides))
+    dense, scale = functional.table, functional.log2_den
 
     x_digits = scenario.input_digits
     best: int | None = None
@@ -492,17 +502,19 @@ def local_bound(
 
 def functional_to_dict(functional: BellFunctional) -> dict:
     scenario = functional.scenario
-    terms = []
-    for (x_idx, a_idx) in sorted(functional.coefficients):
-        c = functional.coefficients[(x_idx, a_idx)]
-        terms.append(
-            {
-                "x": list(scenario.input_tuple(x_idx)),
-                "a": list(scenario.outcome_tuple(a_idx)),
-                "c_num": c.numerator,
-                "c_log2_den": _log2_den(c),
-            }
+    xs, as_ = np.nonzero(functional.table)
+    nums = functional.table[xs, as_]
+    # each term in its own lowest terms: strip the twos it shares with 2**L
+    twos = np.minimum(np.frexp(nums & -nums)[1] - 1, functional.log2_den)
+    terms = [
+        {"x": x, "a": a, "c_num": c, "c_log2_den": e}
+        for x, a, c, e in zip(
+            scenario.input_digits[xs].tolist(),
+            scenario.outcome_digits[as_].tolist(),
+            (nums >> twos).tolist(),
+            (functional.log2_den - twos).tolist(),
         )
+    ]
     return {
         "name": functional.name,
         "parties": scenario.parties,
@@ -518,21 +530,26 @@ def functional_from_dict(data: Mapping) -> BellFunctional:
         scenario = Scenario(tuple(data["settings"]), data["outcomes"])
         if data.get("parties") not in (None, scenario.parties):
             raise ValidationError("party count does not match the settings list")
-        coeffs: dict[tuple[int, int], Fraction] = {}
-        for term in data["terms"]:
-            key = (
-                scenario.input_index(tuple(term["x"])),
-                scenario.outcome_index(tuple(term["a"])),
-            )
-            c = Fraction(operator.index(term["c_num"]), 1 << term["c_log2_den"])
-            coeffs[key] = coeffs.get(key, Fraction(0)) + c
+        terms = data["terms"]
+        xs = _index_rows([term["x"] for term in terms], scenario.settings, "term's 'x'")
+        as_ = _index_rows(
+            [term["a"] for term in terms], (scenario.outcomes,) * scenario.parties, "term's 'a'"
+        )
+        events = (
+            xs @ np.array(scenario.input_strides) * scenario.num_outcomes
+            + as_ @ np.array(scenario.outcome_strides)
+        )
+        nums = [operator.index(term["c_num"]) for term in terms]
+        exps = [operator.index(term["c_log2_den"]) for term in terms]
+        if min(exps, default=0) < 0:
+            raise ValidationError("c_log2_den must not be negative")
     except ValidationError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed functional: {exc!r}") from exc
-    return BellFunctional(
+    return BellFunctional._from_table(
         scenario,
-        coeffs,
+        *_sum_terms(scenario, events, nums, exps),
         orientation=data.get("orientation", "max"),
         name=data.get("name", ""),
     )

@@ -210,14 +210,7 @@ class Relabeling:
 
 
 def identity_relabeling(scenario: Scenario) -> Relabeling:
-    return Relabeling(
-        scenario,
-        tuple(tuple(range(m)) for m in scenario.settings),
-        tuple(
-            tuple(tuple(range(scenario.outcomes)) for _ in range(m))
-            for m in scenario.settings
-        ),
-    )
+    return outcome_shift(scenario, 0)
 
 
 def global_outcome_flip(scenario: Scenario) -> Relabeling:
@@ -238,14 +231,19 @@ def outcome_shift(scenario: Scenario, step: int = 1) -> Relabeling:
     )
 
 
+def _pushed(relabeling: Relabeling, table: np.ndarray) -> np.ndarray:
+    """A (num_inputs, num_outcomes) table with its entries moved along the relabeling."""
+    input_map, outcome_map = relabeling.event_maps
+    moved = np.empty_like(table)
+    moved[input_map[:, None], outcome_map] = table
+    return moved
+
+
 def apply_to_behavior(relabeling: Relabeling, behavior: Behavior) -> Behavior:
     """Push a behavior forward along a relabeling (table entries permuted)."""
     if relabeling.scenario != behavior.scenario:
         raise ScenarioMismatchError("relabeling and behavior scenarios differ")
-    input_map, outcome_map = relabeling.event_maps
-    table = np.empty_like(behavior.table)
-    table[input_map[:, None], outcome_map] = behavior.table
-    return Behavior(behavior.scenario, table)
+    return Behavior(behavior.scenario, _pushed(relabeling, behavior.table))
 
 
 def pushforward_functional(
@@ -258,14 +256,10 @@ def pushforward_functional(
     """
     if relabeling.scenario != functional.scenario:
         raise ScenarioMismatchError("relabeling and functional scenarios differ")
-    input_map, outcome_map = relabeling.event_maps
-    moved = {
-        (int(input_map[x]), int(outcome_map[x, a])): c
-        for (x, a), c in functional.coefficients.items()
-    }
-    return BellFunctional(
+    return BellFunctional._from_table(
         functional.scenario,
-        moved,
+        _pushed(relabeling, functional.table),
+        functional.log2_den,
         orientation=functional.orientation,
         name=functional.name,
     )
@@ -275,11 +269,7 @@ def is_symmetry(relabeling: Relabeling, functional: BellFunctional) -> bool:
     """True iff the pushforward leaves the coefficient table exactly invariant."""
     if relabeling.scenario != functional.scenario:
         raise ScenarioMismatchError("relabeling and functional scenarios differ")
-    dense, _ = functional.scaled_table
-    input_map, outcome_map = relabeling.event_maps
-    permuted = np.zeros_like(dense)
-    permuted[input_map[:, None], outcome_map] = dense
-    return bool(np.array_equal(permuted, dense))
+    return bool(np.array_equal(_pushed(relabeling, functional.table), functional.table))
 
 
 # --- exhaustive symmetry search -----------------------------------------------
@@ -372,7 +362,7 @@ def find_symmetries(
         raise SearchCapExceededError(
             f"{total} candidate relabelings exceed the cap of {cap}"
         )
-    dense = functional.scaled_table[0].reshape(-1)
+    dense = functional.table.reshape(-1)
     n_events = dense.size
     parties = scenario.parties
     identity = tuple(range(parties))
@@ -462,36 +452,35 @@ def _orbit_ids(perms: Iterable[np.ndarray], n_events: int) -> np.ndarray:
     return np.unique(labels, return_inverse=True)[1].astype(np.int64)
 
 
-def _joint_event_perm(relabeling: Relabeling) -> np.ndarray:
-    sc = relabeling.scenario
-    input_map, outcome_map = relabeling.event_maps
-    perm = np.empty(sc.num_inputs * sc.num_outcomes, dtype=np.int64)
-    flat = input_map[:, None] * sc.num_outcomes + outcome_map
-    perm[:] = flat.reshape(-1)
-    return perm
+def _joint_event_perms(scenario: Scenario, generators: Sequence[Relabeling]) -> np.ndarray:
+    """Permutations of flat joint events x * num_outcomes + a, one row per
+    relabeling."""
+    count, n_in, n_out = len(generators), scenario.num_inputs, scenario.num_outcomes
+    input_maps = np.array([g.event_maps[0] for g in generators], dtype=np.int64)
+    outcome_maps = np.array([g.event_maps[1] for g in generators], dtype=np.int64)
+    flat = input_maps.reshape(count, n_in, 1) * n_out + outcome_maps.reshape(count, n_in, n_out)
+    return flat.reshape(count, n_in * n_out)
 
 
 def _marginal_offsets(scenario: Scenario) -> list[int]:
-    offsets = [0]
-    for m in scenario.settings:
-        offsets.append(offsets[-1] + m * scenario.outcomes)
-    return offsets
+    return [0, *itertools.accumulate(m * scenario.outcomes for m in scenario.settings)]
 
 
-def _marginal_event_perm(relabeling: Relabeling) -> np.ndarray:
-    """Permutation of single-party events (party, setting, outcome)."""
-    sc = relabeling.scenario
-    offsets = _marginal_offsets(sc)
-    perm = np.empty(offsets[-1], dtype=np.int64)
-    for i in range(sc.parties):
-        slot = relabeling._slot(i)
-        for x in range(sc.settings[i]):
-            y = relabeling.input_perms[i][x]
-            for o in range(sc.outcomes):
-                src = offsets[i] + x * sc.outcomes + o
-                dst = offsets[slot] + y * sc.outcomes + relabeling.output_perms[i][y][o]
-                perm[src] = dst
-    return perm
+def _marginal_event_perms(scenario: Scenario, generators: Sequence[Relabeling]) -> np.ndarray:
+    """Permutations of single-party events (party, setting, outcome), one row
+    per relabeling."""
+    count, d, parties = len(generators), scenario.outcomes, scenario.parties
+    offsets = np.array(_marginal_offsets(scenario))
+    slots = np.array([g.party_perm or tuple(range(parties)) for g in generators], dtype=np.int64)
+    blocks = []
+    for i, m in enumerate(scenario.settings):
+        sigma = np.array([g.input_perms[i] for g in generators], dtype=np.int64).reshape(count, m)
+        tau = np.array([g.output_perms[i] for g in generators], dtype=np.int64)
+        # setting x, outcome o -> the slot's setting sigma(x), outcome tau[sigma(x)][o]
+        image = sigma[:, :, None] * d + tau.reshape(count, m, d)[np.arange(count)[:, None], sigma]
+        base = offsets[slots.reshape(count, parties)[:, i]]
+        blocks.append(base[:, None] + image.reshape(count, m * d))
+    return np.concatenate(blocks, axis=1)
 
 
 def _reduce_generators(generators: Sequence[Relabeling]) -> list[Relabeling]:
@@ -506,21 +495,39 @@ def _reduce_generators(generators: Sequence[Relabeling]) -> list[Relabeling]:
         kept.append(g)
     if len(kept) <= GENERATOR_REDUCTION_THRESHOLD:
         return kept
-    # keep only generators that join two classes of the running joint-orbit
-    # partition; the generated orbit partition is unchanged
-    labels = np.arange(kept[0].scenario.num_inputs * kept[0].scenario.num_outcomes)
+    # keep only generators that join two classes of the running partition of
+    # joint and single-party events, side by side in one permutation; both
+    # generated orbit partitions are unchanged.  (Without a party permutation
+    # marginal orbits are projections of joint orbits.)
+    sc = kept[0].scenario
+    n_joint = sc.num_inputs * sc.num_outcomes
+    labels = np.arange(n_joint + _marginal_offsets(sc)[-1])
+    step = max(1, _GATHER_ELEMENTS // labels.size)
     reduced: list[Relabeling] = []
-    for g in kept:
-        perm = _joint_event_perm(g)
-        if not np.array_equal(labels[perm], labels):
-            reduced.append(g)
-            labels = _join(labels, perm)
+    for lo in range(0, len(kept), step):
+        chunk = kept[lo : lo + step]
+        perms = np.concatenate(
+            (_joint_event_perms(sc, chunk), _marginal_event_perms(sc, chunk) + n_joint),
+            axis=1,
+        )
+        for g, perm in zip(chunk, perms):
+            if not np.array_equal(labels[perm], labels):
+                reduced.append(g)
+                labels = _join(labels, perm)
     return reduced
 
 
 UNIQUENESS_NOTE = (
     "valid only if the maximal violation is attained by a unique behavior"
 )
+
+
+def _classes(ids: np.ndarray) -> list[list[int]]:
+    """Positions grouped by orbit id, groups in increasing id order."""
+    classes: dict[int, list[int]] = {}
+    for k, oid in enumerate(ids.tolist()):
+        classes.setdefault(oid, []).append(k)
+    return [classes[k] for k in sorted(classes)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -552,13 +559,7 @@ class UniformityCertificate:
         """Outcome-index classes forced equiprobable at a joint input."""
         sc = self.functional.scenario
         x_idx = sc.input_index(tuple(settings))
-        ids = self.joint_orbits[
-            x_idx * sc.num_outcomes : (x_idx + 1) * sc.num_outcomes
-        ]
-        classes: dict[int, list[int]] = {}
-        for a, oid in enumerate(ids):
-            classes.setdefault(int(oid), []).append(a)
-        return [classes[k] for k in sorted(classes)]
+        return _classes(self.joint_orbits[x_idx * sc.num_outcomes : (x_idx + 1) * sc.num_outcomes])
 
     def marginal_classes(self, party: int, setting: int) -> list[list[int]]:
         """Outcome classes forced equiprobable for one party's setting."""
@@ -567,13 +568,8 @@ class UniformityCertificate:
             raise ValidationError(f"party {party} out of range")
         if not 0 <= setting < sc.settings[party]:
             raise ValidationError(f"setting {setting} out of range for party {party}")
-        offsets = _marginal_offsets(sc)
-        base = offsets[party] + setting * sc.outcomes
-        ids = self.marginal_orbits[base : base + sc.outcomes]
-        classes: dict[int, list[int]] = {}
-        for o, oid in enumerate(ids):
-            classes.setdefault(int(oid), []).append(o)
-        return [classes[k] for k in sorted(classes)]
+        base = _marginal_offsets(sc)[party] + setting * sc.outcomes
+        return _classes(self.marginal_orbits[base : base + sc.outcomes])
 
     def certified_bits(self, query: JointQuery | LocalQuery) -> float:
         """Min-entropy bound at the query: log2 of the smallest event class."""
@@ -594,10 +590,10 @@ def _verified_generators(
         if g.scenario != functional.scenario:
             raise ScenarioMismatchError("generator scenario does not match functional")
     # the exact test of is_symmetry, one batched gather per chunk of generators
-    dense = functional.scaled_table[0].reshape(-1)
+    dense = functional.table.reshape(-1)
     step = max(1, _GATHER_ELEMENTS // dense.size)
     for lo in range(0, len(generators), step):
-        images = np.stack([_joint_event_perm(g) for g in generators[lo : lo + step]])
+        images = _joint_event_perms(functional.scenario, generators[lo : lo + step])
         if not _fixes(dense, images).all():
             raise ValidationError(
                 "a supplied generator is not a symmetry of the functional"
@@ -619,12 +615,8 @@ def certify_uniform(
     """
     sc = functional.scenario
     gens = _verified_generators(functional, generators)
-    joint = _orbit_ids(
-        [_joint_event_perm(g) for g in gens], sc.num_inputs * sc.num_outcomes
-    )
-    marg = _orbit_ids(
-        [_marginal_event_perm(g) for g in gens], _marginal_offsets(sc)[-1]
-    )
+    joint = _orbit_ids(_joint_event_perms(sc, gens), sc.num_inputs * sc.num_outcomes)
+    marg = _orbit_ids(_marginal_event_perms(sc, gens), _marginal_offsets(sc)[-1])
     cert = UniformityCertificate(
         functional=functional,
         generators=tuple(gens),
@@ -641,17 +633,10 @@ def certify_all(
 ) -> dict[JointQuery | LocalQuery, float]:
     """Certified bits for every joint input and every (party, setting)."""
     sc = functional.scenario
-    first_query = JointQuery(sc.input_tuple(0))
-    cert = certify_uniform(functional, generators, first_query)
-    sweep: dict[JointQuery | LocalQuery, float] = {}
-    for x_idx in range(sc.num_inputs):
-        q = JointQuery(sc.input_tuple(x_idx))
-        sweep[q] = cert.certified_bits(q)
-    for i in range(sc.parties):
-        for x in range(sc.settings[i]):
-            q = LocalQuery(i, x)
-            sweep[q] = cert.certified_bits(q)
-    return sweep
+    cert = certify_uniform(functional, generators, JointQuery(sc.input_tuple(0)))
+    queries: list[JointQuery | LocalQuery] = [JointQuery(x) for x in sc.joint_inputs()]
+    queries += [LocalQuery(i, x) for i in range(sc.parties) for x in range(sc.settings[i])]
+    return {q: cert.certified_bits(q) for q in queries}
 
 
 def orbit_equality_violation(
@@ -666,22 +651,18 @@ def orbit_equality_violation(
     sc = cert.functional.scenario
     if behavior.scenario != sc:
         raise ScenarioMismatchError("certificate and behavior scenarios differ")
-    worst = 0.0
-    flat = behavior.table.reshape(-1)
-    ids = cert.joint_orbits
-    for oid in np.unique(ids):
-        probs = flat[ids == oid]
-        worst = max(worst, float(probs.max() - probs.min()))
     offsets = _marginal_offsets(sc)
     marg_vals = np.empty(offsets[-1])
     for i in range(sc.parties):
         for x in range(sc.settings[i]):
             base = offsets[i] + x * sc.outcomes
             marg_vals[base : base + sc.outcomes] = marginal(behavior, (i,), (x,))
-    for oid in np.unique(cert.marginal_orbits):
-        vals = marg_vals[cert.marginal_orbits == oid]
-        worst = max(worst, float(vals.max() - vals.min()))
-    return worst
+    joint = behavior.table.reshape(-1)
+    return max(
+        float(np.ptp(values[ids == oid]))
+        for values, ids in ((joint, cert.joint_orbits), (marg_vals, cert.marginal_orbits))
+        for oid in np.unique(ids)
+    )
 
 
 # --- JSON serialization ------------------------------------------------------

@@ -148,3 +148,39 @@ class TestLibraryErrors:
     def test_functional_from_dict_rejects_malformed_data(self, data):
         with pytest.raises(ValidationError):
             functional_from_dict(data)
+
+
+def _every_term(key, value):
+    def edit(doc):
+        for term in doc["terms"]:
+            term[key] = value
+        return doc
+
+    return edit
+
+
+class TestDenominatorRange:
+    def test_one_tiny_term_names_the_common_denominator(self, capsys, tmp_path):
+        path = _chsh_file(tmp_path, _first_term("c_log2_den", 2000))
+        result = run_cli(capsys, "local-bound", "--file", path)
+        assert_error(result, 1, "invalid-input")
+        assert "common denominator 2^2000" in json.loads(result[2])["message"]
+
+    @pytest.mark.parametrize("command", ["maximize", "local-bound", "symmetries"])
+    def test_all_tiny_terms_run(self, capsys, tmp_path, command):
+        path = _chsh_file(tmp_path, _every_term("c_log2_den", 2000))
+        code, out, _ = run_cli(capsys, command, "--file", path)
+        assert code == 0
+        json.loads(out)
+
+    @pytest.mark.parametrize("command", ["maximize", "local-bound", "symmetries"])
+    def test_numerator_beyond_int64_is_invalid_input(self, capsys, tmp_path, command):
+        path = _chsh_file(tmp_path, _first_term("c_num", 2**63))
+        assert_error(run_cli(capsys, command, "--file", path), 1, "invalid-input")
+
+    @pytest.mark.parametrize("command", ["local-bound", "maximize", "symmetries"])
+    def test_tilted_chsh_of_any_float_runs(self, capsys, command):
+        code, out, _ = run_cli(capsys, command, "--functional", "tilted-chsh", "--eta", "0.3")
+        assert code == 0
+        if command == "local-bound":
+            assert json.loads(out)["bound"] == pytest.approx(2.3)

@@ -24,8 +24,8 @@ from bellcert import (
 )
 from bellcert.symmetry import (
     GENERATOR_REDUCTION_THRESHOLD,
-    _joint_event_perm,
-    _marginal_event_perm,
+    _joint_event_perms,
+    _marginal_event_perms,
     _marginal_offsets,
     _orbit_ids,
 )
@@ -97,8 +97,32 @@ def bfs_orbit_ids(perms, n_events):
     return ids
 
 
+def loop_joint_event_perm(relabeling):
+    """The per-relabeling joint-event permutation the batched helper replaced."""
+    sc = relabeling.scenario
+    input_map, outcome_map = relabeling.event_maps
+    return (input_map[:, None] * sc.num_outcomes + outcome_map).reshape(-1)
+
+
+def loop_marginal_event_perm(relabeling):
+    """The triple loop over (party, setting, outcome) the batched helper replaced."""
+    sc = relabeling.scenario
+    offsets = _marginal_offsets(sc)
+    perm = np.empty(offsets[-1], dtype=np.int64)
+    for i in range(sc.parties):
+        slot = relabeling._slot(i)
+        for x in range(sc.settings[i]):
+            y = relabeling.input_perms[i][x]
+            for o in range(sc.outcomes):
+                src = offsets[i] + x * sc.outcomes + o
+                dst = offsets[slot] + y * sc.outcomes + relabeling.output_perms[i][y][o]
+                perm[src] = dst
+    return perm
+
+
 def recount_reduce(generators):
-    """Keep a generator iff adding it changes the recomputed orbit count."""
+    """Keep a generator iff adding it changes the recomputed joint orbit count,
+    or, for a generator with a party permutation, the marginal orbit count."""
     kept = []
     for g in generators:
         if not g.is_identity and g not in kept:
@@ -106,14 +130,20 @@ def recount_reduce(generators):
     if len(kept) <= GENERATOR_REDUCTION_THRESHOLD:
         return kept
     sc = kept[0].scenario
-    n_events = sc.num_inputs * sc.num_outcomes
+    sizes = (sc.num_inputs * sc.num_outcomes, _marginal_offsets(sc)[-1])
+
+    def orbit_counts(gens):
+        joint = bfs_orbit_ids([loop_joint_event_perm(h) for h in gens], sizes[0])
+        marg = bfs_orbit_ids([loop_marginal_event_perm(h) for h in gens], sizes[1])
+        return len(np.unique(joint)), len(np.unique(marg))
+
     reduced = []
-    ids = np.arange(n_events)
+    counts = sizes
     for g in kept:
-        trial = bfs_orbit_ids([_joint_event_perm(h) for h in reduced + [g]], n_events)
-        if len(np.unique(trial)) != len(np.unique(ids)):
+        trial = orbit_counts(reduced + [g])
+        if trial[0] != counts[0] or (g.party_perm is not None and trial[1] != counts[1]):
             reduced.append(g)
-            ids = trial
+            counts = trial
     return reduced
 
 
@@ -206,15 +236,37 @@ def test_generator_reduction_matches_orbit_recount(functional, include_party_per
     cert = certify_uniform(functional, found, JointQuery(sc.input_tuple(0)))
     kept = recount_reduce(found)
     assert cert.generators == tuple(kept)
-    joint = bfs_orbit_ids([_joint_event_perm(g) for g in kept], sc.num_inputs * sc.num_outcomes)
-    marg = bfs_orbit_ids([_marginal_event_perm(g) for g in kept], _marginal_offsets(sc)[-1])
+    n_joint, n_marg = sc.num_inputs * sc.num_outcomes, _marginal_offsets(sc)[-1]
+    joint = bfs_orbit_ids([loop_joint_event_perm(g) for g in kept], n_joint)
+    marg = bfs_orbit_ids([loop_marginal_event_perm(g) for g in kept], n_marg)
     assert np.array_equal(cert.joint_orbits, joint)
     assert np.array_equal(cert.marginal_orbits, marg)
-    # the full symmetry list closes to the same partition
+    # the full symmetry list closes to the same partitions
     assert np.array_equal(
         joint,
-        bfs_orbit_ids([_joint_event_perm(g) for g in found], sc.num_inputs * sc.num_outcomes),
+        bfs_orbit_ids([loop_joint_event_perm(g) for g in found], n_joint),
     )
+    assert np.array_equal(
+        cert.marginal_orbits,
+        bfs_orbit_ids([loop_marginal_event_perm(g) for g in found], n_marg),
+    )
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS + [lifted_chsh_c().scenario])
+def test_batched_event_perms_match_the_loops(scenario):
+    rng = np.random.default_rng(scenario.num_inputs + scenario.num_outcomes)
+    gens = []
+    for pi in itertools.permutations(range(scenario.parties)):
+        if all(scenario.settings[i] == scenario.settings[j] for i, j in enumerate(pi)):
+            g = random_relabeling(scenario, rng)
+            gens.append(Relabeling(scenario, g.input_perms, g.output_perms, pi))
+    assert np.array_equal(
+        _joint_event_perms(scenario, gens), [loop_joint_event_perm(g) for g in gens]
+    )
+    assert np.array_equal(
+        _marginal_event_perms(scenario, gens), [loop_marginal_event_perm(g) for g in gens]
+    )
+    assert _marginal_event_perms(scenario, []).shape == (0, _marginal_offsets(scenario)[-1])
 
 
 @settings(max_examples=50, deadline=None)
