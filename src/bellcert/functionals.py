@@ -156,7 +156,13 @@ class BellFunctional:
 
     @cached_property
     def float_table(self) -> np.ndarray:
+        """Coefficients as doubles; raises if a nonzero one is below the normal range."""
         table = np.ldexp(self.table.astype(float), -self.log2_den)
+        if (np.abs(table[self.table != 0]) < np.finfo(float).tiny).any():
+            raise ValidationError(
+                f"a coefficient over the common denominator 2^{self.log2_den} is below "
+                "the normal double range"
+            )
         table.setflags(write=False)
         return table
 

@@ -22,7 +22,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -38,10 +38,9 @@ from .scenario import (
 )
 
 DEFAULT_SEARCH_CAP = 10**8
-GENERATOR_REDUCTION_THRESHOLD = 64
 # upper bound on the elements of one batched table of event images: the
-# symmetry search and generator verification work in chunks of this size
-_GATHER_ELEMENTS = 1 << 14
+# generator pass of certification works in chunks of this size
+_GATHER_ELEMENTS = 1 << 16
 
 
 def _check_perm(perm: Sequence[int], size: int, what: str) -> tuple[int, ...]:
@@ -127,18 +126,9 @@ class Relabeling:
         setting.
         """
         sc = self.scenario
-        x_digits = sc.input_digits
-        a_digits = sc.outcome_digits
-        input_map = np.zeros(sc.num_inputs, dtype=np.int64)
-        outcome_map = np.zeros((sc.num_inputs, sc.num_outcomes), dtype=np.int64)
-        for i in range(sc.parties):
-            slot = self._slot(i)
-            sigma = np.asarray(self.input_perms[i], dtype=np.int64)
-            tau = np.asarray(self.output_perms[i], dtype=np.int64)  # (M_i, d)
-            image_setting = sigma[x_digits[:, i]]
-            input_map += image_setting * sc.input_strides[slot]
-            per_event = tau[image_setting][:, a_digits[:, i]]  # (inputs, outcomes)
-            outcome_map += per_event * sc.outcome_strides[slot]
+        perm = _event_perms(sc, [self])[0].reshape(sc.num_inputs, sc.num_outcomes)
+        input_map = perm[:, 0] // sc.num_outcomes
+        outcome_map = perm % sc.num_outcomes
         input_map.setflags(write=False)
         outcome_map.setflags(write=False)
         return input_map, outcome_map
@@ -231,6 +221,62 @@ def outcome_shift(scenario: Scenario, step: int = 1) -> Relabeling:
     )
 
 
+# --- event images -------------------------------------------------------------
+# Every event map starts from one per-party local image: a block (sigma, tau)
+# sends local event x·d + a to sigma(x)·d + tau[sigma(x)][a], placed at the
+# stride of the party's slot.
+
+
+def _local_images(d: int, sigma: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Local event images of one party, one row per block: ``sigma`` (k, m)
+    and ``tau`` (k, m, d) give a (k, m·d) table."""
+    count, m = sigma.shape
+    return (sigma[:, :, None] * d + tau[np.arange(count)[:, None], sigma]).reshape(count, m * d)
+
+
+def _event_space(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """Party-major coordinates of the flat joint events x * num_outcomes + a.
+
+    Returns the strides of the party-major index sum_i (x_i·d + a_i)·stride_i
+    (radix M_i·d, party 0 most significant) and that index at every flat
+    joint event.
+    """
+    d = scenario.outcomes
+    radix = [m * d for m in scenario.settings]
+    strides = np.array([math.prod(radix[i + 1 :]) for i in range(len(radix))], dtype=np.int64)
+    index = (scenario.input_digits @ strides)[:, None] * d + scenario.outcome_digits @ strides
+    return strides, index.reshape(-1)
+
+
+def _marginal_offsets(scenario: Scenario) -> list[int]:
+    return [0, *itertools.accumulate(m * scenario.outcomes for m in scenario.settings)]
+
+
+def _event_perms(
+    scenario: Scenario, relabelings: Sequence[Relabeling]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Permutations of the flat joint events x * num_outcomes + a and of the
+    single-party events (party, setting, outcome), one row per relabeling."""
+    count, d = len(relabelings), scenario.outcomes
+    strides, party_major = _event_space(scenario)
+    offsets = np.array(_marginal_offsets(scenario))
+    slots = np.array(
+        [g.party_perm or range(scenario.parties) for g in relabelings], dtype=np.int64
+    ).reshape(count, scenario.parties)
+    joint = np.zeros((count, 1), dtype=np.int64)  # party-major image of each party-major event
+    marginal = []
+    for i, m in enumerate(scenario.settings):
+        sigma = np.array([g.input_perms[i] for g in relabelings], dtype=np.int64)
+        tau = np.array([g.output_perms[i] for g in relabelings], dtype=np.int64)
+        images = _local_images(d, sigma.reshape(count, m), tau.reshape(count, m, d))
+        placed = images * strides[slots[:, i, None]]
+        joint = (joint[:, :, None] + placed[:, None, :]).reshape(count, joint.shape[1] * m * d)
+        marginal.append(images + offsets[slots[:, i, None]])
+    to_flat = np.empty_like(party_major)
+    to_flat[party_major] = np.arange(party_major.size)
+    return to_flat[joint[:, party_major]], np.concatenate(marginal, axis=1)
+
+
 def _pushed(relabeling: Relabeling, table: np.ndarray) -> np.ndarray:
     """A (num_inputs, num_outcomes) table with its entries moved along the relabeling."""
     input_map, outcome_map = relabeling.event_maps
@@ -317,27 +363,26 @@ def search_space_size(scenario: Scenario, include_party_perms: bool = False) -> 
     return size
 
 
-def _block_images(
-    scenario: Scenario, party: int, blocks: Sequence[tuple]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Image setting (B, inputs) and image outcome (B, inputs, outcomes) of one
-    party at every joint event, for each of its B candidate blocks."""
-    m, d = scenario.settings[party], scenario.outcomes
-    sigma = np.array([b[0] for b in blocks], dtype=np.int64).reshape(len(blocks), m)
-    tau = np.array([b[1] for b in blocks], dtype=np.int64).reshape(len(blocks), m, d)
-    image_setting = sigma[:, scenario.input_digits[:, party]]
-    rows = np.arange(len(blocks))[:, None, None]
-    image_outcome = tau[rows, image_setting[:, :, None], scenario.outcome_digits[:, party]]
-    return image_setting, image_outcome
+def _block_combinations(images: Sequence[np.ndarray]) -> np.ndarray:
+    """Event images of every combination of some parties' blocks.
 
-
-def _fixes(dense: np.ndarray, images: np.ndarray) -> np.ndarray:
-    """Which rows of event images (k, events) leave the flat table invariant.
-
-    For a bijective event map, ``dense[image] == dense`` everywhere is the
-    same condition as the scattered table equalling the original.
+    ``images`` holds each party's local images (blocks, local events).  Rows
+    of the result run over block combinations and columns over the parties'
+    joint local events, both row-major with the first party most significant.
     """
-    return (dense[images] == dense).all(axis=-1)
+    combined = np.zeros((1, 1), dtype=np.int64)
+    for local in images:
+        count, size = local.shape
+        combined = (combined[:, None, :, None] * size + local[None, :, None, :]).reshape(
+            len(combined) * count, -1
+        )
+    return combined
+
+
+def _rows(matrix: np.ndarray) -> np.ndarray:
+    """The rows of an integer matrix as single opaque values, compared by their bytes."""
+    matrix = np.ascontiguousarray(matrix)
+    return matrix.view(np.dtype((np.void, matrix.itemsize * matrix.shape[1]))).ravel()
 
 
 def find_symmetries(
@@ -347,14 +392,21 @@ def find_symmetries(
 ) -> tuple[Relabeling, ...]:
     """Complete list of nontrivial symmetries of a functional, by exhaustive search.
 
-    Scans every relabeling of the scenario (optionally including party
-    permutations) and keeps those leaving the coefficient table exactly
-    invariant; the identity is excluded.  Leading parties are enumerated one
-    block at a time; the trailing parties' blocks are stacked and tested in
-    batched gathers of bounded size.  The order is that of the nested loop
-    over party permutations and then each party's blocks.  Raises
+    Finds every relabeling of the scenario (optionally including party
+    permutations) that leaves the coefficient table exactly invariant; the
+    identity is excluded.  The order is that of the nested loop over party
+    permutations and then each party's blocks.  Raises
     :class:`SearchCapExceededError` when the space exceeds ``cap``; callers
     may then supply hand-written generators to :func:`certify_uniform`.
+
+    The search splits and matches instead of testing every candidate.  With
+    the table as a matrix from a head group of parties' local events to the
+    tail group's, and transposed along the party permutation, a candidate
+    (g_A, g_B) is a symmetry iff column g_B(s) of the matrix with rows
+    gathered by g_A equals column s of the table, for every s.  Each distinct
+    column of the table gets an exact id; each head combination labels its
+    gathered columns by id, and is matched by exactly the tail combinations
+    whose key ``id ∘ g_B⁻¹`` equals that labelling.
     """
     scenario = functional.scenario
     total = search_space_size(scenario, include_party_perms)
@@ -362,55 +414,49 @@ def find_symmetries(
         raise SearchCapExceededError(
             f"{total} candidate relabelings exceed the cap of {cap}"
         )
-    dense = functional.table.reshape(-1)
-    n_events = dense.size
-    parties = scenario.parties
-    identity = tuple(range(parties))
-    step = max(1, _GATHER_ELEMENTS // n_events)
-
-    blocks = [_party_candidates(m, scenario.outcomes) for m in scenario.settings]
-    images = [_block_images(scenario, i, blocks[i]) for i in range(parties)]
+    d = scenario.outcomes
+    blocks = [_party_candidates(m, d) for m in scenario.settings]
     counts = [len(b) for b in blocks]
-    # parties first..parties-1 are stacked into one table of flat event images:
-    # always the last party, and earlier ones while the table fits the bound
-    first = parties - 1
-    while first > 0 and math.prod(counts[first - 1 :]) * n_events <= _GATHER_ELEMENTS:
-        first -= 1
+    images = [
+        _local_images(d, *(np.array(part, dtype=np.int64) for part in zip(*party)))
+        for party in blocks
+    ]
+    # the head is the first k parties, k balancing the two groups' combinations
+    k = min(
+        range(scenario.parties + 1),
+        key=lambda j: math.prod(counts[:j]) + math.prod(counts[j:]),
+    )
+    head, tail = _block_combinations(images[:k]), _block_combinations(images[k:])
+    shape = (head.shape[1], tail.shape[1])
+    table = np.empty(functional.table.size, dtype=functional.table.dtype)
+    table[_event_space(scenario)[1]] = functional.table.reshape(-1)
+    table = table.reshape([m * d for m in scenario.settings])
+
+    columns, ids = np.unique(_rows(table.reshape(shape).T), return_inverse=True)
+    keys = np.empty(tail.shape, dtype=np.intp)
+    keys[np.arange(len(tail))[:, None], tail] = ids
+    tails_by_key: dict[bytes, list[int]] = {}
+    for t, key in enumerate(_rows(keys).tolist()):
+        tails_by_key.setdefault(key, []).append(t)
 
     hits: list[Relabeling] = []
     for pi in _party_perms(scenario, include_party_perms):
-        # per-party contributions to the flat event image, at this party slot
-        contribs = []
-        for i, (image_setting, image_outcome) in enumerate(images):
-            in_step = scenario.input_strides[pi[i]] * scenario.num_outcomes
-            out_step = scenario.outcome_strides[pi[i]]
-            flat = image_setting[:, :, None] * in_step + image_outcome * out_step
-            contribs.append(flat.reshape(counts[i], n_events))
-        tail = contribs[first]
-        for contrib in contribs[first + 1 :]:
-            tail = (tail[:, None, :] + contrib[None, :, :]).reshape(-1, n_events)
-
-        def record(chosen: tuple[int, ...]) -> None:
-            rel = Relabeling(
-                scenario,
-                tuple(blocks[j][c][0] for j, c in enumerate(chosen)),
-                tuple(blocks[j][c][1] for j, c in enumerate(chosen)),
-                pi if pi != identity else None,
-            )
-            if not rel.is_identity:
-                hits.append(rel)
-
-        def scan(i: int, acc: np.ndarray, chosen: tuple[int, ...]) -> None:
-            if i == first:
-                for lo in range(0, len(tail), step):
-                    for h in np.flatnonzero(_fixes(dense, acc + tail[lo : lo + step])):
-                        rest = np.unravel_index(lo + int(h), counts[first:])
-                        record(chosen + tuple(int(c) for c in rest))
-                return
-            for c, contrib in enumerate(contribs[i]):
-                scan(i + 1, acc + contrib, chosen + (c,))
-
-        scan(0, np.zeros(n_events, dtype=np.int64), ())
+        moved = np.ascontiguousarray(table.transpose(pi).reshape(shape).T)
+        for h, rows in enumerate(head):
+            gathered = _rows(moved[:, rows])
+            labels = np.minimum(np.searchsorted(columns, gathered), len(columns) - 1)
+            if not np.array_equal(columns[labels], gathered):
+                continue  # a gathered column is no column of the table
+            for t in tails_by_key.get(labels.tobytes(), ()):
+                chosen = np.unravel_index(h, counts[:k]) + np.unravel_index(t, counts[k:])
+                rel = Relabeling(
+                    scenario,
+                    tuple(blocks[j][c][0] for j, c in enumerate(chosen)),
+                    tuple(blocks[j][c][1] for j, c in enumerate(chosen)),
+                    pi,
+                )
+                if not rel.is_identity:
+                    hits.append(rel)
     return tuple(hits)
 
 
@@ -441,80 +487,49 @@ def _join(labels: np.ndarray, perm: np.ndarray) -> np.ndarray:
             labels = deeper
 
 
-def _orbit_ids(perms: Iterable[np.ndarray], n_events: int) -> np.ndarray:
-    """Connected components of events under a set of event permutations.
+def _orbit_closure(
+    functional: BellFunctional, generators: Sequence[Relabeling]
+) -> tuple[list[Relabeling], np.ndarray, np.ndarray]:
+    """The generators that join orbits, and the joint and single-party orbit ids.
 
-    Components are numbered in the order of their smallest event.
+    One pass: each generator must share the functional's scenario;
+    identities and duplicates are dropped; every other generator is verified
+    with the exact test of :func:`is_symmetry` (one gather per chunk) and
+    kept iff it joins two classes of the running partition of joint and
+    single-party events, side by side in one permutation.  The final
+    partition is the closure of all generators, since a dropped generator
+    maps every class of the partition at that point, and so of each coarser
+    one, into itself.  Orbits are numbered in the order of their smallest
+    event.
     """
-    labels = np.arange(n_events)
-    for perm in perms:
-        labels = _join(labels, perm)
-    return np.unique(labels, return_inverse=True)[1].astype(np.int64)
-
-
-def _joint_event_perms(scenario: Scenario, generators: Sequence[Relabeling]) -> np.ndarray:
-    """Permutations of flat joint events x * num_outcomes + a, one row per
-    relabeling."""
-    count, n_in, n_out = len(generators), scenario.num_inputs, scenario.num_outcomes
-    input_maps = np.array([g.event_maps[0] for g in generators], dtype=np.int64)
-    outcome_maps = np.array([g.event_maps[1] for g in generators], dtype=np.int64)
-    flat = input_maps.reshape(count, n_in, 1) * n_out + outcome_maps.reshape(count, n_in, n_out)
-    return flat.reshape(count, n_in * n_out)
-
-
-def _marginal_offsets(scenario: Scenario) -> list[int]:
-    return [0, *itertools.accumulate(m * scenario.outcomes for m in scenario.settings)]
-
-
-def _marginal_event_perms(scenario: Scenario, generators: Sequence[Relabeling]) -> np.ndarray:
-    """Permutations of single-party events (party, setting, outcome), one row
-    per relabeling."""
-    count, d, parties = len(generators), scenario.outcomes, scenario.parties
-    offsets = np.array(_marginal_offsets(scenario))
-    slots = np.array([g.party_perm or tuple(range(parties)) for g in generators], dtype=np.int64)
-    blocks = []
-    for i, m in enumerate(scenario.settings):
-        sigma = np.array([g.input_perms[i] for g in generators], dtype=np.int64).reshape(count, m)
-        tau = np.array([g.output_perms[i] for g in generators], dtype=np.int64)
-        # setting x, outcome o -> the slot's setting sigma(x), outcome tau[sigma(x)][o]
-        image = sigma[:, :, None] * d + tau.reshape(count, m, d)[np.arange(count)[:, None], sigma]
-        base = offsets[slots.reshape(count, parties)[:, i]]
-        blocks.append(base[:, None] + image.reshape(count, m * d))
-    return np.concatenate(blocks, axis=1)
-
-
-def _reduce_generators(generators: Sequence[Relabeling]) -> list[Relabeling]:
-    """Drop duplicates and identities; keep the order of first appearance."""
+    sc = functional.scenario
     seen = set()
-    kept = []
+    unique: list[Relabeling] = []
     for g in generators:
-        key = (g.input_perms, g.output_perms, g.party_perm)
-        if g.is_identity or key in seen:
-            continue
-        seen.add(key)
-        kept.append(g)
-    if len(kept) <= GENERATOR_REDUCTION_THRESHOLD:
-        return kept
-    # keep only generators that join two classes of the running partition of
-    # joint and single-party events, side by side in one permutation; both
-    # generated orbit partitions are unchanged.  (Without a party permutation
-    # marginal orbits are projections of joint orbits.)
-    sc = kept[0].scenario
-    n_joint = sc.num_inputs * sc.num_outcomes
-    labels = np.arange(n_joint + _marginal_offsets(sc)[-1])
+        if g.scenario != sc:
+            raise ScenarioMismatchError("generator scenario does not match functional")
+        if not g.is_identity and g not in seen:
+            seen.add(g)
+            unique.append(g)
+    dense = functional.table.reshape(-1)
+    labels = np.arange(dense.size + _marginal_offsets(sc)[-1])
     step = max(1, _GATHER_ELEMENTS // labels.size)
-    reduced: list[Relabeling] = []
-    for lo in range(0, len(kept), step):
-        chunk = kept[lo : lo + step]
-        perms = np.concatenate(
-            (_joint_event_perms(sc, chunk), _marginal_event_perms(sc, chunk) + n_joint),
-            axis=1,
-        )
+    kept: list[Relabeling] = []
+    for lo in range(0, len(unique), step):
+        chunk = unique[lo : lo + step]
+        joint, marginal = _event_perms(sc, chunk)
+        if not (dense[joint] == dense).all():
+            raise ValidationError("a supplied generator is not a symmetry of the functional")
+        perms = np.concatenate((joint, marginal + dense.size), axis=1)
         for g, perm in zip(chunk, perms):
             if not np.array_equal(labels[perm], labels):
-                reduced.append(g)
+                kept.append(g)
                 labels = _join(labels, perm)
-    return reduced
+    joint_ids, marginal_ids = (
+        np.unique(part, return_inverse=True)[1].astype(np.int64)
+        for part in (labels[: dense.size], labels[dense.size :])
+    )
+    return kept, joint_ids, marginal_ids
 
 
 UNIQUENESS_NOTE = (
@@ -582,25 +597,6 @@ class UniformityCertificate:
         return math.log2(min(len(cls) for cls in classes))
 
 
-def _verified_generators(
-    functional: BellFunctional, generators: Sequence[Relabeling]
-) -> list[Relabeling]:
-    generators = list(generators)
-    for g in generators:
-        if g.scenario != functional.scenario:
-            raise ScenarioMismatchError("generator scenario does not match functional")
-    # the exact test of is_symmetry, one batched gather per chunk of generators
-    dense = functional.table.reshape(-1)
-    step = max(1, _GATHER_ELEMENTS // dense.size)
-    for lo in range(0, len(generators), step):
-        images = _joint_event_perms(functional.scenario, generators[lo : lo + step])
-        if not _fixes(dense, images).all():
-            raise ValidationError(
-                "a supplied generator is not a symmetry of the functional"
-            )
-    return _reduce_generators(generators)
-
-
 def certify_uniform(
     functional: BellFunctional,
     generators: Sequence[Relabeling],
@@ -610,13 +606,11 @@ def certify_uniform(
 
     Every generator is re-verified with the exact coefficient comparison;
     a non-symmetry raises :class:`ValidationError`.  The orbit partition is
-    the breadth-first closure of the generated group acting on joint events
-    and on single-party events.
+    the closure of the generated group acting on joint events and on
+    single-party events; the certificate keeps the generators that join
+    orbits.
     """
-    sc = functional.scenario
-    gens = _verified_generators(functional, generators)
-    joint = _orbit_ids(_joint_event_perms(sc, gens), sc.num_inputs * sc.num_outcomes)
-    marg = _orbit_ids(_marginal_event_perms(sc, gens), _marginal_offsets(sc)[-1])
+    gens, joint, marg = _orbit_closure(functional, generators)
     cert = UniformityCertificate(
         functional=functional,
         generators=tuple(gens),
@@ -681,15 +675,20 @@ def relabeling_to_dict(relabeling: Relabeling) -> dict:
 
 
 def relabeling_from_dict(scenario: Scenario, data: Mapping) -> Relabeling:
-    parties = data["parties"]
-    if len(parties) != scenario.parties:
-        raise ValidationError("relabeling party count does not match scenario")
-    return Relabeling(
-        scenario,
-        tuple(tuple(p["input_perm"]) for p in parties),
-        tuple(tuple(tuple(q) for q in p["output_perms"]) for p in parties),
-        tuple(data["party_perm"]) if data.get("party_perm") else None,
-    )
+    try:
+        parties = data["parties"]
+        if len(parties) != scenario.parties:
+            raise ValidationError("relabeling party count does not match scenario")
+        return Relabeling(
+            scenario,
+            tuple(tuple(p["input_perm"]) for p in parties),
+            tuple(tuple(tuple(q) for q in p["output_perms"]) for p in parties),
+            tuple(data["party_perm"]) if data.get("party_perm") else None,
+        )
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed relabeling: {exc!r}") from exc
 
 
 def certificate_to_dict(cert: UniformityCertificate) -> dict:

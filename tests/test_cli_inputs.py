@@ -166,12 +166,26 @@ class TestDenominatorRange:
         assert_error(result, 1, "invalid-input")
         assert "common denominator 2^2000" in json.loads(result[2])["message"]
 
-    @pytest.mark.parametrize("command", ["maximize", "local-bound", "symmetries"])
+    @pytest.mark.parametrize("command", ["local-bound", "symmetries"])
     def test_all_tiny_terms_run(self, capsys, tmp_path, command):
         path = _chsh_file(tmp_path, _every_term("c_log2_den", 2000))
         code, out, _ = run_cli(capsys, command, "--file", path)
         assert code == 0
         json.loads(out)
+
+    @pytest.mark.parametrize(
+        "command", [("maximize",), ("randomness", "--query", "local:1,1")]
+    )
+    @pytest.mark.parametrize("log2_den", [2000, 1030])
+    def test_coefficients_below_double_range_are_invalid_for_the_see_saw(
+        self, capsys, tmp_path, command, log2_den
+    ):
+        # 2^-2000 underflows to 0 and 2^-1030 is subnormal: the see-saw would
+        # optimise a zero operator or one with few significant bits
+        path = _chsh_file(tmp_path, _every_term("c_log2_den", log2_den))
+        result = run_cli(capsys, *command, "--file", path)
+        assert_error(result, 1, "invalid-input")
+        assert f"common denominator 2^{log2_den}" in json.loads(result[2])["message"]
 
     @pytest.mark.parametrize("command", ["maximize", "local-bound", "symmetries"])
     def test_numerator_beyond_int64_is_invalid_input(self, capsys, tmp_path, command):

@@ -218,7 +218,19 @@ class TestRangeCheck:
         sc = Scenario((2, 2), 2)
         f = BellFunctional(sc, {(0, 0): Fraction(3, 2**2000)})
         assert (int(f.table[0, 0]), f.log2_den) == (3, 2000)
-        assert f.float_table[0, 0] == 0.0
+
+    @pytest.mark.parametrize("log2_den", [1023, 1074, 1075, 2000])
+    def test_float_table_rejects_coefficients_below_the_normal_range(self, log2_den):
+        sc = Scenario((2, 2), 2)
+        f = BellFunctional(sc, {(0, 0): Fraction(1, 2**log2_den), (1, 1): Fraction(3, 2**log2_den)})
+        with pytest.raises(ValidationError, match=f"common denominator 2\\^{log2_den}"):
+            f.float_table
+
+    def test_float_table_keeps_the_smallest_normal_coefficient(self):
+        sc = Scenario((2, 2), 2)
+        f = BellFunctional(sc, {(0, 0): Fraction(1, 2**1022), (1, 1): Fraction(3, 2**1022)})
+        assert f.float_table[0, 0] == np.finfo(float).tiny
+        assert f.float_table[1, 1] == 3 * np.finfo(float).tiny
 
     def test_sums_beyond_int64_are_exact_not_wrapped(self):
         sc = Scenario((2, 2), 2)

@@ -83,6 +83,20 @@ class TestRelabelingStructure:
             data = json.loads(json.dumps(relabeling_to_dict(g)))
             assert relabeling_from_dict(sc, data) == g
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {},
+            {"parties": [{"input_perm": [0, 1]}, {"input_perm": [0, 1]}]},
+            {"parties": 3},
+            {"parties": [{"input_perm": ["a", 1], "output_perms": [[0, 1], [0, 1]]}] * 2},
+        ],
+        ids=["empty", "no-output-perms", "parties-not-a-list", "non-integer-entry"],
+    )
+    def test_malformed_json_is_a_validation_error(self, data):
+        with pytest.raises(ValidationError, match="malformed relabeling"):
+            relabeling_from_dict(Scenario((2, 2), 2), data)
+
 
 class TestGroupActions:
     def test_identity_action(self):

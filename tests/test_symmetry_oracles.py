@@ -1,5 +1,5 @@
-"""The batched symmetry search and the label-join orbit closure against the
-straightforward loops they replace."""
+"""The split-and-match symmetry search, the batched event maps and the
+one-pass orbit closure against the straightforward loops they replace."""
 
 import itertools
 
@@ -14,7 +14,10 @@ from bellcert import (
     JointQuery,
     Relabeling,
     Scenario,
+    ValidationError,
     certify_uniform,
+    chained_correlator,
+    chsh,
     find_symmetries,
     is_symmetry,
     lifted_chsh_c,
@@ -22,13 +25,7 @@ from bellcert import (
     pushforward_functional,
     search_space_size,
 )
-from bellcert.symmetry import (
-    GENERATOR_REDUCTION_THRESHOLD,
-    _joint_event_perms,
-    _marginal_event_perms,
-    _marginal_offsets,
-    _orbit_ids,
-)
+from bellcert.symmetry import _event_perms, _join, _marginal_offsets
 
 from conftest import random_relabeling
 
@@ -37,7 +34,11 @@ SCENARIOS = [
     Scenario((2, 2), 3),
     Scenario((2, 2, 2), 2),
     Scenario((3, 2), 2),
+    Scenario((3,), 2),  # one party: the search's head group is empty
 ]
+# the property also runs on four parties, without party permutations there:
+# with them the oracle scans 98304 candidates (about 20 s)
+FOUR_PARTIES = Scenario((2, 2, 2, 2), 2)
 
 
 def oracle_candidates(scenario, include_party_perms):
@@ -97,10 +98,29 @@ def bfs_orbit_ids(perms, n_events):
     return ids
 
 
+def loop_event_maps(relabeling):
+    """The per-party loop that built ``Relabeling.event_maps`` before it became
+    the one-row case of the batched joint-event permutations."""
+    sc = relabeling.scenario
+    x_digits = sc.input_digits
+    a_digits = sc.outcome_digits
+    input_map = np.zeros(sc.num_inputs, dtype=np.int64)
+    outcome_map = np.zeros((sc.num_inputs, sc.num_outcomes), dtype=np.int64)
+    for i in range(sc.parties):
+        slot = relabeling._slot(i)
+        sigma = np.asarray(relabeling.input_perms[i], dtype=np.int64)
+        tau = np.asarray(relabeling.output_perms[i], dtype=np.int64)  # (M_i, d)
+        image_setting = sigma[x_digits[:, i]]
+        input_map += image_setting * sc.input_strides[slot]
+        per_event = tau[image_setting][:, a_digits[:, i]]  # (inputs, outcomes)
+        outcome_map += per_event * sc.outcome_strides[slot]
+    return input_map, outcome_map
+
+
 def loop_joint_event_perm(relabeling):
     """The per-relabeling joint-event permutation the batched helper replaced."""
     sc = relabeling.scenario
-    input_map, outcome_map = relabeling.event_maps
+    input_map, outcome_map = loop_event_maps(relabeling)
     return (input_map[:, None] * sc.num_outcomes + outcome_map).reshape(-1)
 
 
@@ -127,8 +147,6 @@ def recount_reduce(generators):
     for g in generators:
         if not g.is_identity and g not in kept:
             kept.append(g)
-    if len(kept) <= GENERATOR_REDUCTION_THRESHOLD:
-        return kept
     sc = kept[0].scenario
     sizes = (sc.num_inputs * sc.num_outcomes, _marginal_offsets(sc)[-1])
 
@@ -168,7 +186,7 @@ def symmetrized(functional, g):
 def small_functionals(draw):
     """Integer functionals with few distinct values, optionally made invariant
     under a random relabeling so that the search has hits to order."""
-    scenario = draw(st.sampled_from(SCENARIOS))
+    scenario = draw(st.sampled_from(SCENARIOS + [FOUR_PARTIES]))
     size = scenario.num_inputs * scenario.num_outcomes
     values = draw(st.lists(st.integers(-1, 1), min_size=size, max_size=size))
     functional = integer_functional(scenario, values)
@@ -178,38 +196,48 @@ def small_functionals(draw):
     return functional
 
 
-def search(functional, include_party_perms, one_block_batches):
-    """find_symmetries; optionally with batches of a single block, so that
-    every party but the last is enumerated and every block is its own chunk."""
-    with pytest.MonkeyPatch.context() as mp:
-        if one_block_batches:
-            mp.setattr(bellcert.symmetry, "_GATHER_ELEMENTS", 1)
-        return find_symmetries(functional, include_party_perms=include_party_perms)
-
-
 @settings(max_examples=10, deadline=None)
-@given(small_functionals(), st.booleans(), st.booleans())
-def test_search_matches_exhaustive_is_symmetry_loop(
-    functional, include_party_perms, one_block_batches
-):
-    found = search(functional, include_party_perms, one_block_batches)
+@given(small_functionals(), st.booleans())
+def test_search_matches_exhaustive_is_symmetry_loop(functional, include_party_perms):
+    include_party_perms &= functional.scenario != FOUR_PARTIES
+    found = find_symmetries(functional, include_party_perms=include_party_perms)
     assert found == oracle_symmetries(functional, include_party_perms)
+
+
+def seeded_symmetric_functional(scenario):
+    rng = np.random.default_rng(scenario.num_inputs * scenario.num_outcomes)
+    values = rng.integers(-1, 2, size=scenario.num_inputs * scenario.num_outcomes)
+    return symmetrized(
+        integer_functional(scenario, values.tolist()), random_relabeling(scenario, rng)
+    )
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 @pytest.mark.parametrize("include_party_perms", [False, True])
-@pytest.mark.parametrize("one_block_batches", [False, True])
-def test_search_matches_exhaustive_loop_on_every_scenario(
-    scenario, include_party_perms, one_block_batches
-):
-    rng = np.random.default_rng(scenario.num_inputs * scenario.num_outcomes)
-    values = rng.integers(-1, 2, size=scenario.num_inputs * scenario.num_outcomes)
-    functional = symmetrized(
-        integer_functional(scenario, values.tolist()), random_relabeling(scenario, rng)
-    )
-    found = search(functional, include_party_perms, one_block_batches)
+def test_search_matches_exhaustive_loop_on_every_scenario(scenario, include_party_perms):
+    functional = seeded_symmetric_functional(scenario)
+    found = find_symmetries(functional, include_party_perms=include_party_perms)
     assert found
     assert found == oracle_symmetries(functional, include_party_perms)
+
+
+def test_four_party_search_matches_exhaustive_loop():
+    functional = seeded_symmetric_functional(FOUR_PARTIES)
+    found = find_symmetries(functional)
+    assert found
+    assert found == oracle_symmetries(functional, False)
+
+
+@pytest.mark.parametrize(
+    "functional, count",
+    [(mermin(n), 2 ** (2 * n - 1) - 1) for n in (3, 4, 5, 6)]
+    + [(chained_correlator(m), 4 * m - 1) for m in (3, 4, 5)],
+    ids=[f"mermin{n}" for n in (3, 4, 5, 6)] + [f"chained{m}" for m in (3, 4, 5)],
+)
+def test_closed_form_symmetry_counts(functional, count):
+    found = find_symmetries(functional)
+    assert len(found) == count
+    assert len(set(found)) == count
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS + [lifted_chsh_c().scenario])
@@ -227,12 +255,18 @@ def test_party_perms_that_change_setting_counts_are_not_counted():
 
 
 @pytest.mark.parametrize(
-    "functional, include_party_perms", [(mermin(4), False), (mermin(3), True)]
+    "functional, include_party_perms",
+    [
+        (mermin(4), False),
+        (mermin(3), True),
+        (chsh(), False),
+        (chained_correlator(3), False),
+        (mermin(3), False),
+    ],
 )
 def test_generator_reduction_matches_orbit_recount(functional, include_party_perms):
     sc = functional.scenario
     found = find_symmetries(functional, include_party_perms=include_party_perms)
-    assert len(found) > GENERATOR_REDUCTION_THRESHOLD
     cert = certify_uniform(functional, found, JointQuery(sc.input_tuple(0)))
     kept = recount_reduce(found)
     assert cert.generators == tuple(kept)
@@ -260,13 +294,14 @@ def test_batched_event_perms_match_the_loops(scenario):
         if all(scenario.settings[i] == scenario.settings[j] for i, j in enumerate(pi)):
             g = random_relabeling(scenario, rng)
             gens.append(Relabeling(scenario, g.input_perms, g.output_perms, pi))
-    assert np.array_equal(
-        _joint_event_perms(scenario, gens), [loop_joint_event_perm(g) for g in gens]
-    )
-    assert np.array_equal(
-        _marginal_event_perms(scenario, gens), [loop_marginal_event_perm(g) for g in gens]
-    )
-    assert _marginal_event_perms(scenario, []).shape == (0, _marginal_offsets(scenario)[-1])
+    joint, marginal = _event_perms(scenario, gens)
+    assert np.array_equal(joint, [loop_joint_event_perm(g) for g in gens])
+    assert np.array_equal(marginal, [loop_marginal_event_perm(g) for g in gens])
+    for g in gens:
+        assert all(map(np.array_equal, g.event_maps, loop_event_maps(g)))
+    joint, marginal = _event_perms(scenario, [])
+    assert joint.shape == (0, scenario.num_inputs * scenario.num_outcomes)
+    assert marginal.shape == (0, _marginal_offsets(scenario)[-1])
 
 
 @settings(max_examples=50, deadline=None)
@@ -274,7 +309,23 @@ def test_batched_event_perms_match_the_loops(scenario):
 def test_orbit_ids_match_breadth_first_closure(n_events, n_perms, seed):
     rng = np.random.default_rng(seed)
     perms = [rng.permutation(n_events) for _ in range(n_perms)]
-    assert np.array_equal(_orbit_ids(perms, n_events), bfs_orbit_ids(perms, n_events))
+    labels = np.arange(n_events)
+    for perm in perms:
+        labels = _join(labels, perm)
+    ids = np.unique(labels, return_inverse=True)[1]
+    assert np.array_equal(ids, bfs_orbit_ids(perms, n_events))
+
+
+def test_non_symmetry_among_duplicates_still_raises():
+    f = chsh()
+    found = find_symmetries(f)
+    # flipping the outcomes of one setting of one party is no symmetry of CHSH
+    flip = Relabeling(f.scenario, ((0, 1), (0, 1)), (((1, 0), (0, 1)), ((0, 1), (0, 1))))
+    assert not is_symmetry(flip, f)
+    # placed after a closing set of generators, so the keep rule would drop it
+    generators = [*found, found[0], flip, *found, flip]
+    with pytest.raises(ValidationError, match="not a symmetry"):
+        certify_uniform(f, generators, JointQuery((0, 0)))
 
 
 def test_orbit_equality_violation_is_exported():
