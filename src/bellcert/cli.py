@@ -137,8 +137,19 @@ def _query_key(query: JointQuery | LocalQuery) -> str:
     return f"party={query.party},setting={query.setting}"
 
 
-def _bound_as_number(bound) -> float | int:
-    return int(bound) if bound.denominator == 1 else float(bound)
+def _bound_as_number(bound, log2_den: int) -> float | int:
+    """The exact bound as a JSON number.  A nonzero bound must not round to 0
+    (its functional's common denominator is 2**log2_den); it cannot overflow,
+    as every functional's |C| * num_inputs stays below 2**62."""
+    if bound.denominator == 1:
+        return int(bound)
+    value = float(bound)
+    if value == 0:
+        raise ValidationError(
+            f"the local bound over the common denominator 2^{log2_den} is below "
+            "the double range"
+        )
+    return value
 
 
 def _joint_queries(sc) -> list[JointQuery]:
@@ -171,7 +182,7 @@ def _cmd_local_bound(args: argparse.Namespace) -> dict:
     out = {
         "functional": functional.name,
         "orientation": functional.orientation,
-        "bound": _bound_as_number(report.bound),
+        "bound": _bound_as_number(report.bound, functional.log2_den),
         "maximizer_count": report.maximizer_count,
     }
     if args.list_maximizers:
@@ -468,7 +479,7 @@ def _run_demo(name: str, seed: int) -> dict:
     generators = find_symmetries(functional)
     bound = local_bound(functional)
     bound_fields = {
-        "bound": _bound_as_number(bound.bound),
+        "bound": _bound_as_number(bound.bound, functional.log2_den),
         "maximizer_count": bound.maximizer_count,
         "orientation": functional.orientation,
     }

@@ -408,7 +408,7 @@ def lifted_chsh_c() -> BellFunctional:
     return BellFunctional._from_table(scenario, table, 1, name="lifted-chsh-c")
 
 
-# --- classical bound by exhaustive enumeration -------------------------------
+# --- classical bound by best response ----------------------------------------
 
 class CapExceededError(RuntimeError):
     """The deterministic-strategy space exceeds the configured cap."""
@@ -427,23 +427,95 @@ class LocalBoundReport:
     maximizers: tuple[Strategy, ...]
 
 
-def _strategy_strides(scenario: Scenario) -> tuple[list[int], list[int]]:
-    """Per-party strategy counts d**M_i and their mixed-radix strides, party 0
-    most significant."""
-    sizes = [scenario.outcomes**m for m in scenario.settings]
-    return sizes, [math.prod(sizes[i + 1 :]) for i in range(len(sizes))]
+# elements of the largest array one contraction step builds at a time
+_BLOCK_ELEMENTS = 1 << 16
 
 
-def _strategy_from_index(scenario: Scenario, index: int) -> Strategy:
-    # within a party the outcome for setting x is the base-d digit at
-    # position M_i - 1 - x
-    d = scenario.outcomes
-    sizes, strides = _strategy_strides(scenario)
-    out: list[tuple[int, ...]] = []
-    for size, stride, m in zip(sizes, strides, scenario.settings):
-        t = (index // stride) % size
-        out.append(tuple((t // d ** (m - 1 - x)) % d for x in range(m)))
-    return tuple(out)
+def _count_argument(value, what: str) -> int:
+    """``value`` as a non-negative int; bools and non-integers are rejected."""
+    integral = hasattr(type(value), "__index__") and not isinstance(value, bool)
+    if not integral or operator.index(value) < 0:
+        raise ValidationError(f"{what} must be a non-negative integer, got {value!r}")
+    return operator.index(value)
+
+
+def _strategy_sums(V: np.ndarray, W: np.ndarray, x: int = 0):
+    """Sums sum_x V[:, x, s(x)] over the settings x of one party, for each of
+    its d**M deterministic strategies s, yielded as (n, t, *rest) blocks over
+    consecutive runs of strategies in enumeration order (the outcome for
+    setting x is the base-d digit at position M - 1 - x).
+
+    ``V`` has shape (n, M, d, *rest) and ``W`` (n, t, *rest) holds the sums
+    over the settings before ``x``.  A block splits by the outcomes of
+    leading settings only when n == 1, so its rows stay in (row, strategy)
+    order."""
+    n, m, d = V.shape[:3]
+    if x == m:
+        yield W
+    elif n == 1 and W.size * d ** (m - x) > _BLOCK_ELEMENTS:
+        for a in range(d):
+            yield from _strategy_sums(V, W + V[:, x, a, None], x + 1)
+    else:
+        W = W[:, :, None] + V[:, x, None]
+        yield from _strategy_sums(V, W.reshape(n, -1, *V.shape[3:]), x + 1)
+
+
+def _prefix_blocks(V: np.ndarray):
+    """The party-paired table contracted with every deterministic strategy of
+    all parties but the last, yielded as (n, M_{N-1}, d) blocks over
+    consecutive runs of those prefix strategies in enumeration order (party
+    0 most significant).
+
+    ``V`` has shape (n, M_k, d, M_{k+1}, d, ...): one row per strategy of
+    the parties before k, the table contracted with it."""
+    if V.ndim == 3:
+        yield V
+        return
+    m, d, rest = V.shape[1], V.shape[2], V.shape[3:]
+    step = max(1, _BLOCK_ELEMENTS // (d**m * math.prod(rest)))
+    for start in range(0, len(V), step):
+        rows = V[start : start + step]
+        for W in _strategy_sums(rows, np.zeros((len(rows), 1, *rest), V.dtype)):
+            yield from _prefix_blocks(W.reshape(-1, *rest))
+
+
+def _best_responses(ties: np.ndarray, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``limit`` best responses of the last party, in enumeration
+    order, given its argmax sets ``ties`` (shape (rows, M, d)) against each
+    prefix row: the row of each response and its strategy index, the
+    responses of a row being the product of its argmax sets over x = 0..M-1."""
+    rows, m, d = ties.shape
+    row = np.arange(rows)
+    index = np.zeros(rows, _exact_dtype(d**m))
+    for x in range(m):
+        # every partial response extends to at least one response, so the
+        # first ``limit`` responses extend the first ``limit`` partial ones
+        j, a = np.nonzero(ties[row, x])
+        j, a = j[:limit], a[:limit]
+        row, index = row[j], index[j] * d + a.astype(index.dtype)
+    return row, index
+
+
+def _outcome_tuples(t: np.ndarray, m: int, d: int) -> list:
+    """The outcome tuples of one party's strategy indices ``t`` (setting x is
+    the base-d digit at position m - 1 - x), one object per distinct index."""
+    unique, back = np.unique(t, return_inverse=True)
+    powers = np.array([d**k for k in range(m - 1, -1, -1)], dtype=t.dtype)
+    table = list(map(tuple, (unique[:, None] // powers % d).tolist()))
+    return list(map(table.__getitem__, back.tolist()))
+
+
+def _strategies(
+    prefixes: np.ndarray, responses: np.ndarray, settings: tuple[int, ...], d: int
+):
+    """Joint strategies, as tuples of per-party outcome tuples, from prefix
+    indices in the enumeration order of parties 0..N-2 and the last party's
+    strategy indices."""
+    parties = [_outcome_tuples(responses, settings[-1], d)]
+    for m in reversed(settings[:-1]):
+        prefixes, t = np.divmod(prefixes, d**m)
+        parties.append(_outcome_tuples(t, m, d))
+    return zip(*parties[::-1])
 
 
 def local_bound(
@@ -453,55 +525,54 @@ def local_bound(
 ) -> LocalBoundReport:
     """Optimum of the functional over all local deterministic strategies.
 
-    Enumerates all prod_i d**M_i joint strategies (raising
-    :class:`CapExceededError` beyond ``cap``) with exact integer arithmetic,
-    honoring the functional's orientation.  All attaining strategies are
-    counted; at most ``max_listed`` are returned, in enumeration order.
+    Exact integer arithmetic, honoring the functional's orientation.  Only
+    the strategies of parties 0..N-2 are enumerated, by contracting the
+    table with each party's strategies in turn: once they are fixed the
+    value is a sum of one term per setting of the last party, each
+    maximised on its own, so the last party plays a best response.  All
+    prod_i d**M_i joint strategies still count against ``cap``
+    (:class:`CapExceededError`, raised before any work).  All attaining
+    strategies are counted; at most ``max_listed`` are returned, in
+    enumeration order: party 0 most significant, and within a party the
+    outcome for setting x is the base-d digit at position M_i - 1 - x.
     """
+    cap = _count_argument(cap, "cap")
+    max_listed = _count_argument(max_listed, "max_listed")
     scenario = functional.scenario
-    d = scenario.outcomes
-    sizes, strides = _strategy_strides(scenario)
-    total = math.prod(sizes)
+    d, settings, n = scenario.outcomes, scenario.settings, scenario.parties
+    total = math.prod(d**m for m in settings)
     if total > cap:
         raise CapExceededError(
             f"{total} deterministic strategies exceed the cap of {cap}"
         )
-    dense, scale = functional.table, functional.log2_den
-
-    x_digits = scenario.input_digits
+    tensor = functional.table.reshape(*settings, *(d,) * n).transpose(
+        [axis for i in range(n) for axis in (i, n + i)]
+    )
+    sign = 1 if functional.orientation == "max" else -1
     best: int | None = None
     count = 0
-    listed: list[int] = []
-    sign = 1 if functional.orientation == "max" else -1
-    chunk = 1 << 16
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        party_t = [
-            (idx // strides[i]) % sizes[i] for i in range(scenario.parties)
-        ]
-        values = np.zeros(len(idx), dtype=np.int64)
-        for x_idx in range(scenario.num_inputs):
-            a_flat = np.zeros(len(idx), dtype=np.int64)
-            for i in range(scenario.parties):
-                xi = int(x_digits[x_idx, i])
-                digit = (party_t[i] // d ** (scenario.settings[i] - 1 - xi)) % d
-                a_flat += digit * scenario.outcome_strides[i]
-            values += dense[x_idx, a_flat]
-        signed = sign * values
-        chunk_best = int(signed.max())
-        if best is None or chunk_best > best:
-            best = chunk_best
-            count = 0
-            listed = []
-        if chunk_best == best:
-            hits = idx[signed == best]
-            count += len(hits)
-            if len(listed) < max_listed:
-                listed.extend(int(h) for h in hits[: max_listed - len(listed)])
+    listed: list[Strategy] = []
+    first = 0  # prefix index of the block's first row
+    for block in _prefix_blocks(tensor[None]):
+        block = sign * block
+        peaks = block.max(axis=2)
+        values = peaks.sum(axis=1)
+        top = int(values.max())
+        if best is None or top > best:
+            best, count, listed = top, 0, []
+        if top == best:
+            rows = np.flatnonzero(values == best)
+            ties = block[rows] == peaks[rows, :, None]
+            count += int(ties.sum(axis=2).astype(_exact_dtype(total)).prod(axis=1).sum())
+            # each optimal prefix adds at least one maximizer
+            need = max_listed - len(listed)
+            if need:
+                row, responses = _best_responses(ties[:need], need)
+                listed.extend(_strategies(first + rows[row], responses, settings, d))
+        first += len(block)
     assert best is not None
-    bound = Fraction(sign * best, 1 << scale)
-    maximizers = tuple(_strategy_from_index(scenario, i) for i in listed)
-    return LocalBoundReport(bound=bound, maximizer_count=count, maximizers=maximizers)
+    bound = Fraction(sign * best, 1 << functional.log2_den)
+    return LocalBoundReport(bound=bound, maximizer_count=count, maximizers=tuple(listed))
 
 
 # --- JSON serialization ------------------------------------------------------

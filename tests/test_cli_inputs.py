@@ -166,12 +166,24 @@ class TestDenominatorRange:
         assert_error(result, 1, "invalid-input")
         assert "common denominator 2^2000" in json.loads(result[2])["message"]
 
-    @pytest.mark.parametrize("command", ["local-bound", "symmetries"])
-    def test_all_tiny_terms_run(self, capsys, tmp_path, command):
+    def test_all_tiny_terms_run(self, capsys, tmp_path):
         path = _chsh_file(tmp_path, _every_term("c_log2_den", 2000))
-        code, out, _ = run_cli(capsys, command, "--file", path)
+        code, out, _ = run_cli(capsys, "symmetries", "--file", path)
         assert code == 0
         json.loads(out)
+
+    def test_bound_below_double_range_is_invalid_input(self, capsys, tmp_path):
+        # the exact bound is 2^-1999, which a double rounds to 0.0
+        path = _chsh_file(tmp_path, _every_term("c_log2_den", 2000))
+        result = run_cli(capsys, "local-bound", "--file", path)
+        assert_error(result, 1, "invalid-input")
+        assert "common denominator 2^2000" in json.loads(result[2])["message"]
+
+    def test_small_bound_inside_double_range_is_printed(self, capsys, tmp_path):
+        path = _chsh_file(tmp_path, _every_term("c_log2_den", 1000))
+        code, out, _ = run_cli(capsys, "local-bound", "--file", path)
+        assert code == 0
+        assert json.loads(out)["bound"] == 2.0**-999
 
     @pytest.mark.parametrize(
         "command", [("maximize",), ("randomness", "--query", "local:1,1")]
