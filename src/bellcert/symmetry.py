@@ -99,6 +99,20 @@ class Relabeling:
         object.__setattr__(self, "output_perms", tuple(out_perms))
         object.__setattr__(self, "party_perm", party_perm)
 
+    @classmethod
+    def _from_blocks(cls, scenario, input_perms, output_perms, party_perm):
+        """A relabeling from blocks that are valid by construction: tuples of
+        ints, and a party permutation already normalised (``None`` for the
+        identity).  Skips the checks of ``__post_init__``."""
+        relabeling = cls.__new__(cls)
+        relabeling.__dict__.update(
+            scenario=scenario,
+            input_perms=input_perms,
+            output_perms=output_perms,
+            party_perm=party_perm,
+        )
+        return relabeling
+
     # -- structure -----------------------------------------------------------
 
     @property
@@ -234,18 +248,14 @@ def _local_images(d: int, sigma: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return (sigma[:, :, None] * d + tau[np.arange(count)[:, None], sigma]).reshape(count, m * d)
 
 
-def _event_space(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """Party-major coordinates of the flat joint events x * num_outcomes + a.
-
-    Returns the strides of the party-major index sum_i (x_i·d + a_i)·stride_i
-    (radix M_i·d, party 0 most significant) and that index at every flat
-    joint event.
-    """
+def _party_major_index(scenario: Scenario) -> np.ndarray:
+    """The party-major index sum_i (x_i·d + a_i)·stride_i (radix M_i·d, party 0
+    most significant) at every flat joint event x * num_outcomes + a."""
     d = scenario.outcomes
     radix = [m * d for m in scenario.settings]
     strides = np.array([math.prod(radix[i + 1 :]) for i in range(len(radix))], dtype=np.int64)
     index = (scenario.input_digits @ strides)[:, None] * d + scenario.outcome_digits @ strides
-    return strides, index.reshape(-1)
+    return index.reshape(-1)
 
 
 def _marginal_offsets(scenario: Scenario) -> list[int]:
@@ -256,25 +266,42 @@ def _event_perms(
     scenario: Scenario, relabelings: Sequence[Relabeling]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Permutations of the flat joint events x * num_outcomes + a and of the
-    single-party events (party, setting, outcome), one row per relabeling."""
-    count, d = len(relabelings), scenario.outcomes
-    strides, party_major = _event_space(scenario)
+    single-party events (party, setting, outcome), one row per relabeling.
+
+    A flat joint index is a sum of per-party terms, x_i·input_stride_i·D +
+    a_i·outcome_stride_i with D = num_outcomes, so each party's local images,
+    placed at its slot's strides, are broadcast over the axes (x_0, …,
+    x_{N−1}, a_0, …, a_{N−1}) and summed.
+    """
+    count, d, n = len(relabelings), scenario.outcomes, scenario.parties
     offsets = np.array(_marginal_offsets(scenario))
-    slots = np.array(
-        [g.party_perm or range(scenario.parties) for g in relabelings], dtype=np.int64
-    ).reshape(count, scenario.parties)
-    joint = np.zeros((count, 1), dtype=np.int64)  # party-major image of each party-major event
+    input_strides = np.array(scenario.input_strides) * scenario.num_outcomes
+    outcome_strides = np.array(scenario.outcome_strides)
+    flat, settings = itertools.chain.from_iterable, sum(scenario.settings)
+    slots = np.fromiter(
+        flat(g.party_perm or range(n) for g in relabelings), np.int64, count * n
+    ).reshape(count, n)
+    # every party's blocks side by side: columns run over (party, setting)
+    sigmas = np.fromiter(
+        flat(flat(g.input_perms) for g in relabelings), np.int64, count * settings
+    ).reshape(count, settings)
+    taus = np.fromiter(
+        flat(flat(flat(g.output_perms)) for g in relabelings), np.int64, count * settings * d
+    ).reshape(count, settings, d)
+    joint = np.zeros((count,) + (1,) * (2 * n), dtype=np.int64)
     marginal = []
     for i, m in enumerate(scenario.settings):
-        sigma = np.array([g.input_perms[i] for g in relabelings], dtype=np.int64)
-        tau = np.array([g.output_perms[i] for g in relabelings], dtype=np.int64)
-        images = _local_images(d, sigma.reshape(count, m), tau.reshape(count, m, d))
-        placed = images * strides[slots[:, i, None]]
-        joint = (joint[:, :, None] + placed[:, None, :]).reshape(count, joint.shape[1] * m * d)
+        columns = slice(offsets[i] // d, offsets[i] // d + m)
+        images = _local_images(d, sigmas[:, columns], taus[:, columns])
+        slot = slots[:, i, None, None]
+        setting, outcome = np.divmod(images.reshape(count, m, d), d)
+        axes = [count] + [1] * (2 * n)
+        axes[1 + i], axes[1 + n + i] = m, d
+        term = setting * input_strides[slot] + outcome * outcome_strides[slot]
+        joint = joint + term.reshape(axes)
         marginal.append(images + offsets[slots[:, i, None]])
-    to_flat = np.empty_like(party_major)
-    to_flat[party_major] = np.arange(party_major.size)
-    return to_flat[joint[:, party_major]], np.concatenate(marginal, axis=1)
+    events = scenario.num_inputs * scenario.num_outcomes
+    return joint.reshape(count, events), np.concatenate(marginal, axis=1)
 
 
 def _pushed(relabeling: Relabeling, table: np.ndarray) -> np.ndarray:
@@ -324,14 +351,16 @@ class SearchCapExceededError(RuntimeError):
     """The relabeling search space exceeds the configured cap."""
 
 
-def _party_candidates(m: int, d: int) -> list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
-    """All (input_perm, output_perms) blocks of one party, in deterministic order."""
+def _party_candidates(
+    m: int, d: int
+) -> tuple[list[tuple[int, ...]], list[tuple[tuple[int, ...], ...]]]:
+    """All (input_perm, output_perms) blocks of one party, in deterministic
+    order, as the list of input permutations and the list of output
+    permutations.  Block 0 is the identity."""
     outcome_perms = list(itertools.permutations(range(d)))
-    blocks = []
-    for sigma in itertools.permutations(range(m)):
-        for taus in itertools.product(outcome_perms, repeat=m):
-            blocks.append((sigma, taus))
-    return blocks
+    taus = list(itertools.product(outcome_perms, repeat=m))
+    sigmas = list(itertools.permutations(range(m)))
+    return [s for s in sigmas for _ in taus], taus * len(sigmas)
 
 
 def _party_perms(scenario: Scenario, include_party_perms: bool) -> list[tuple[int, ...]]:
@@ -407,6 +436,10 @@ def find_symmetries(
     column of the table gets an exact id; each head combination labels its
     gathered columns by id, and is matched by exactly the tail combinations
     whose key ``id ∘ g_B⁻¹`` equals that labelling.
+
+    Every block comes from ``itertools.permutations``, so each hit is built
+    without re-validation; the identity is skipped by its index (identity
+    party permutation, head and tail combination 0).
     """
     scenario = functional.scenario
     total = search_space_size(scenario, include_party_perms)
@@ -415,11 +448,11 @@ def find_symmetries(
             f"{total} candidate relabelings exceed the cap of {cap}"
         )
     d = scenario.outcomes
-    blocks = [_party_candidates(m, d) for m in scenario.settings]
-    counts = [len(b) for b in blocks]
+    sigmas, taus = zip(*(_party_candidates(m, d) for m in scenario.settings))
+    counts = [len(s) for s in sigmas]
     images = [
-        _local_images(d, *(np.array(part, dtype=np.int64) for part in zip(*party)))
-        for party in blocks
+        _local_images(d, np.array(s, dtype=np.int64), np.array(t, dtype=np.int64))
+        for s, t in zip(sigmas, taus)
     ]
     # the head is the first k parties, k balancing the two groups' combinations
     k = min(
@@ -429,7 +462,7 @@ def find_symmetries(
     head, tail = _block_combinations(images[:k]), _block_combinations(images[k:])
     shape = (head.shape[1], tail.shape[1])
     table = np.empty(functional.table.size, dtype=functional.table.dtype)
-    table[_event_space(scenario)[1]] = functional.table.reshape(-1)
+    table[_party_major_index(scenario)] = functional.table.reshape(-1)
     table = table.reshape([m * d for m in scenario.settings])
 
     columns, ids = np.unique(_rows(table.reshape(shape).T), return_inverse=True)
@@ -439,24 +472,30 @@ def find_symmetries(
     for t, key in enumerate(_rows(keys).tolist()):
         tails_by_key.setdefault(key, []).append(t)
 
+    # every combination's input and output permutations, in head and tail row order
+    head_blocks = list(zip(itertools.product(*sigmas[:k]), itertools.product(*taus[:k])))
+    tail_blocks = list(zip(itertools.product(*sigmas[k:]), itertools.product(*taus[k:])))
+
+    identity = tuple(range(scenario.parties))
     hits: list[Relabeling] = []
     for pi in _party_perms(scenario, include_party_perms):
+        party_perm = None if pi == identity else pi
         moved = np.ascontiguousarray(table.transpose(pi).reshape(shape).T)
         for h, rows in enumerate(head):
             gathered = _rows(moved[:, rows])
             labels = np.minimum(np.searchsorted(columns, gathered), len(columns) - 1)
             if not np.array_equal(columns[labels], gathered):
                 continue  # a gathered column is no column of the table
+            head_sigmas, head_taus = head_blocks[h]
             for t in tails_by_key.get(labels.tobytes(), ()):
-                chosen = np.unravel_index(h, counts[:k]) + np.unravel_index(t, counts[k:])
-                rel = Relabeling(
-                    scenario,
-                    tuple(blocks[j][c][0] for j, c in enumerate(chosen)),
-                    tuple(blocks[j][c][1] for j, c in enumerate(chosen)),
-                    pi,
+                if party_perm is None and h == t == 0:
+                    continue  # block 0 of every party is the identity
+                tail_sigmas, tail_taus = tail_blocks[t]
+                hits.append(
+                    Relabeling._from_blocks(
+                        scenario, head_sigmas + tail_sigmas, head_taus + tail_taus, party_perm
+                    )
                 )
-                if not rel.is_identity:
-                    hits.append(rel)
     return tuple(hits)
 
 
@@ -492,39 +531,41 @@ def _orbit_closure(
 ) -> tuple[list[Relabeling], np.ndarray, np.ndarray]:
     """The generators that join orbits, and the joint and single-party orbit ids.
 
-    One pass: each generator must share the functional's scenario;
-    identities and duplicates are dropped; every other generator is verified
-    with the exact test of :func:`is_symmetry` (one gather per chunk) and
-    kept iff it joins two classes of the running partition of joint and
-    single-party events, side by side in one permutation.  The final
-    partition is the closure of all generators, since a dropped generator
-    maps every class of the partition at that point, and so of each coarser
-    one, into itself.  Orbits are numbered in the order of their smallest
-    event.
+    One pass: each generator must share the functional's scenario; every
+    generator is verified with the exact test of :func:`is_symmetry` (one
+    gather per chunk) and kept iff it joins two classes of the running
+    partition of joint and single-party events, side by side in one
+    permutation.  Each kept generator costs one gather of the rest of its
+    chunk, which finds the next generator that joins two classes.  The rule
+    itself drops identities and duplicates: an identity maps every class
+    into itself, and so does a repeat of an earlier generator, whose
+    partition is already closed under it.  The final partition is the
+    closure of all generators, since a dropped generator maps every class
+    of the partition at that point, and so of each coarser one, into
+    itself.  Orbits are numbered in the order of their smallest event.
     """
     sc = functional.scenario
-    seen = set()
-    unique: list[Relabeling] = []
-    for g in generators:
-        if g.scenario != sc:
-            raise ScenarioMismatchError("generator scenario does not match functional")
-        if not g.is_identity and g not in seen:
-            seen.add(g)
-            unique.append(g)
+    if any(g.scenario is not sc and g.scenario != sc for g in generators):
+        raise ScenarioMismatchError("generator scenario does not match functional")
     dense = functional.table.reshape(-1)
     labels = np.arange(dense.size + _marginal_offsets(sc)[-1])
     step = max(1, _GATHER_ELEMENTS // labels.size)
     kept: list[Relabeling] = []
-    for lo in range(0, len(unique), step):
-        chunk = unique[lo : lo + step]
+    for lo in range(0, len(generators), step):
+        chunk = generators[lo : lo + step]
         joint, marginal = _event_perms(sc, chunk)
         if not (dense[joint] == dense).all():
             raise ValidationError("a supplied generator is not a symmetry of the functional")
         perms = np.concatenate((joint, marginal + dense.size), axis=1)
-        for g, perm in zip(chunk, perms):
-            if not np.array_equal(labels[perm], labels):
-                kept.append(g)
-                labels = _join(labels, perm)
+        i = 0
+        while i < len(perms):
+            joins = np.flatnonzero((labels[perms[i:]] != labels).any(axis=1))
+            if not joins.size:
+                break
+            i += int(joins[0])
+            kept.append(chunk[i])
+            labels = _join(labels, perms[i])
+            i += 1
     joint_ids, marginal_ids = (
         np.unique(part, return_inverse=True)[1].astype(np.int64)
         for part in (labels[: dense.size], labels[dense.size :])
@@ -653,10 +694,19 @@ def orbit_equality_violation(
             marg_vals[base : base + sc.outcomes] = marginal(behavior, (i,), (x,))
     joint = behavior.table.reshape(-1)
     return max(
-        float(np.ptp(values[ids == oid]))
+        _largest_spread(values, ids)
         for values, ids in ((joint, cert.joint_orbits), (marg_vals, cert.marginal_orbits))
-        for oid in np.unique(ids)
     )
+
+
+def _largest_spread(values: np.ndarray, ids: np.ndarray) -> float:
+    """Largest max − min of ``values`` over the groups of equal ``ids``."""
+    order = np.argsort(ids, kind="stable")
+    grouped = ids[order]
+    starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+    values = values[order]
+    spread = np.maximum.reduceat(values, starts) - np.minimum.reduceat(values, starts)
+    return float(spread.max())
 
 
 # --- JSON serialization ------------------------------------------------------

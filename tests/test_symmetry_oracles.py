@@ -1,11 +1,13 @@
-"""The split-and-match symmetry search, the batched event maps and the
-one-pass orbit closure against the straightforward loops they replace."""
+"""The split-and-match symmetry search, the batched event maps, the
+one-pass orbit closure and the grouped orbit-equality check against the
+straightforward loops they replace."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bellcert
@@ -14,20 +16,23 @@ from bellcert import (
     JointQuery,
     Relabeling,
     Scenario,
+    ScenarioMismatchError,
     ValidationError,
     certify_uniform,
     chained_correlator,
     chsh,
     find_symmetries,
+    identity_relabeling,
     is_symmetry,
     lifted_chsh_c,
     mermin,
     pushforward_functional,
     search_space_size,
 )
-from bellcert.symmetry import _event_perms, _join, _marginal_offsets
+from bellcert.scenario import marginal
+from bellcert.symmetry import _event_perms, _join, _marginal_offsets, orbit_equality_violation
 
-from conftest import random_relabeling
+from conftest import random_ns_behavior, random_relabeling
 
 SCENARIOS = [
     Scenario((2, 2), 2),
@@ -204,6 +209,45 @@ def test_search_matches_exhaustive_is_symmetry_loop(functional, include_party_pe
     assert found == oracle_symmetries(functional, include_party_perms)
 
 
+def party_permutations(scenario):
+    """The party permutations that preserve per-party setting counts."""
+    return [
+        pi
+        for pi in itertools.permutations(range(scenario.parties))
+        if all(scenario.settings[i] == scenario.settings[j] for i, j in enumerate(pi))
+    ]
+
+
+@st.composite
+def party_symmetrized_functionals(draw, scenarios=SCENARIOS + [FOUR_PARTIES]):
+    """Integer functionals made invariant under a random relabeling that may
+    also permute the parties, so that hits with and without a party
+    permutation occur."""
+    scenario = draw(st.sampled_from(scenarios))
+    size = scenario.num_inputs * scenario.num_outcomes
+    values = draw(st.lists(st.integers(-1, 1), min_size=size, max_size=size))
+    g = random_relabeling(scenario, np.random.default_rng(draw(st.integers(0, 2**16))))
+    pi = draw(st.sampled_from(party_permutations(scenario)))
+    g = Relabeling(scenario, g.input_perms, g.output_perms, pi)
+    return symmetrized(integer_functional(scenario, values), g)
+
+
+@settings(max_examples=25, deadline=None)
+@given(party_symmetrized_functionals(), st.booleans())
+def test_unchecked_hits_equal_checked_relabelings(functional, include_party_perms):
+    """Every hit, built without the checks of ``Relabeling.__post_init__``,
+    equals and hashes as the checked relabeling of the same blocks, with the
+    same Python types, and none is the identity."""
+    sc = functional.scenario
+    for g in find_symmetries(functional, include_party_perms=include_party_perms):
+        checked = Relabeling(sc, g.input_perms, g.output_perms, g.party_perm)
+        assert g == checked
+        assert hash(g) == hash(checked)
+        assert repr(g) == repr(checked)
+        assert not checked.is_identity
+        assert include_party_perms or g.party_perm is None
+
+
 def seeded_symmetric_functional(scenario):
     rng = np.random.default_rng(scenario.num_inputs * scenario.num_outcomes)
     values = rng.integers(-1, 2, size=scenario.num_inputs * scenario.num_outcomes)
@@ -286,6 +330,45 @@ def test_generator_reduction_matches_orbit_recount(functional, include_party_per
     )
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    party_symmetrized_functionals(SCENARIOS),
+    st.booleans(),
+    st.integers(0, 2**16),
+    st.sampled_from([None, 1, 200]),
+)
+def test_generator_pass_drops_identities_and_duplicates(
+    functional, include_party_perms, seed, gather_elements
+):
+    """The keep rule alone drops identities and repeats: on a shuffled list
+    of symmetries with both inserted, the pass keeps exactly the recount's
+    generators, in order, and closes to the orbits of the deduplicated list.
+    Small gather budgets put every generator, or a few, in a chunk of its own."""
+    sc = functional.scenario
+    found = find_symmetries(functional, include_party_perms=include_party_perms)
+    assume(found)
+    rng = np.random.default_rng(seed)
+    sample = [found[i] for i in rng.choice(len(found), size=min(len(found), 10), replace=False)]
+    identity = identity_relabeling(sc)
+    spelled_out = Relabeling(
+        sc, identity.input_perms, identity.output_perms, tuple(range(sc.parties))
+    )
+    repeats = [sample[i] for i in rng.integers(0, len(sample), size=4)]
+    pool = [*sample, identity, spelled_out, *repeats]
+    generators = [pool[i] for i in rng.permutation(len(pool))]
+    query = JointQuery(sc.input_tuple(0))
+    with mock.patch.object(
+        bellcert.symmetry, "_GATHER_ELEMENTS", gather_elements or bellcert.symmetry._GATHER_ELEMENTS
+    ):
+        cert = certify_uniform(functional, generators, query)
+    assert cert.generators == tuple(recount_reduce(generators))
+    deduplicated = list(dict.fromkeys(g for g in generators if not g.is_identity))
+    reference = certify_uniform(functional, deduplicated, query)
+    assert cert.generators == reference.generators
+    assert np.array_equal(cert.joint_orbits, reference.joint_orbits)
+    assert np.array_equal(cert.marginal_orbits, reference.marginal_orbits)
+
+
 @pytest.mark.parametrize("scenario", SCENARIOS + [lifted_chsh_c().scenario])
 def test_batched_event_perms_match_the_loops(scenario):
     rng = np.random.default_rng(scenario.num_inputs + scenario.num_outcomes)
@@ -326,6 +409,55 @@ def test_non_symmetry_among_duplicates_still_raises():
     generators = [*found, found[0], flip, *found, flip]
     with pytest.raises(ValidationError, match="not a symmetry"):
         certify_uniform(f, generators, JointQuery((0, 0)))
+
+
+def test_generator_of_another_scenario_after_closing_generators_still_raises():
+    f = chsh()
+    found = find_symmetries(f)
+    # placed after a closing set of generators, so the keep rule would drop it
+    generators = [*found, identity_relabeling(Scenario((2, 2), 3))]
+    with pytest.raises(ScenarioMismatchError, match="does not match"):
+        certify_uniform(f, generators, JointQuery((0, 0)))
+
+
+def loop_orbit_equality_violation(cert, behavior):
+    """The boolean mask per orbit that the grouped max − min replaced."""
+    sc = cert.functional.scenario
+    offsets = _marginal_offsets(sc)
+    marg_vals = np.empty(offsets[-1])
+    for i in range(sc.parties):
+        for x in range(sc.settings[i]):
+            base = offsets[i] + x * sc.outcomes
+            marg_vals[base : base + sc.outcomes] = marginal(behavior, (i,), (x,))
+    joint = behavior.table.reshape(-1)
+    return max(
+        float(np.ptp(values[ids == oid]))
+        for values, ids in ((joint, cert.joint_orbits), (marg_vals, cert.marginal_orbits))
+        for oid in np.unique(ids)
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    party_symmetrized_functionals(),
+    st.booleans(),
+    st.integers(0, 2**16),
+    st.integers(1, 8),
+)
+def test_grouped_orbit_spread_matches_per_orbit_loop(
+    functional, include_party_perms, seed, components
+):
+    """Bit for bit, on certificates from random subsets of the symmetries and
+    random local behaviors (few components give many tied probabilities)."""
+    sc = functional.scenario
+    found = find_symmetries(functional, include_party_perms=include_party_perms)
+    rng = np.random.default_rng(seed)
+    subset = [g for g in found if rng.random() < 0.5]
+    cert = certify_uniform(functional, subset, JointQuery(sc.input_tuple(0)))
+    for behavior in (random_ns_behavior(sc, rng, components), random_ns_behavior(sc, rng)):
+        fast = orbit_equality_violation(cert, behavior)
+        assert type(fast) is float
+        assert fast.hex() == loop_orbit_equality_violation(cert, behavior).hex()
 
 
 def test_orbit_equality_violation_is_exported():
