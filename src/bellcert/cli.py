@@ -49,6 +49,8 @@ from .scenario import (
     LocalQuery,
     ScenarioMismatchError,
     ValidationError,
+    _queries,
+    _query_key,
     correlators_from_behavior,
     behavior_to_dict,
 )
@@ -131,12 +133,6 @@ def _parse_query(text: str, functional: BellFunctional) -> JointQuery | LocalQue
     raise UsageError(f"unknown query kind {kind!r}")
 
 
-def _query_key(query: JointQuery | LocalQuery) -> str:
-    if isinstance(query, JointQuery):
-        return "x=" + ",".join(str(s) for s in query.settings)
-    return f"party={query.party},setting={query.setting}"
-
-
 def _bound_as_number(bound, log2_den: int) -> float | int:
     """The exact bound as a JSON number.  A nonzero bound must not round to 0
     (its functional's common denominator is 2**log2_den); it cannot overflow,
@@ -152,12 +148,9 @@ def _bound_as_number(bound, log2_den: int) -> float | int:
     return value
 
 
-def _joint_queries(sc) -> list[JointQuery]:
-    return [JointQuery(x) for x in sc.joint_inputs()]
-
-
-def _local_queries(sc) -> list[LocalQuery]:
-    return [LocalQuery(i, x) for i in range(sc.parties) for x in range(sc.settings[i])]
+def _queries_of(kind: type, sc) -> list:
+    """The queries of one kind, ``JointQuery`` or ``LocalQuery``, in order."""
+    return [q for q in _queries(sc) if isinstance(q, kind)]
 
 
 def _certificate(functional, generators):
@@ -167,11 +160,11 @@ def _certificate(functional, generators):
 
 
 def _bits_block(cert) -> dict:
-    sc = cert.functional.scenario
-    return {
-        "joint_bits": {_query_key(q): cert.certified_bits(q) for q in _joint_queries(sc)},
-        "local_bits": {_query_key(q): cert.certified_bits(q) for q in _local_queries(sc)},
-    }
+    block: dict = {"joint_bits": {}, "local_bits": {}}
+    for q in _queries(cert.functional.scenario):
+        kind = "joint_bits" if isinstance(q, JointQuery) else "local_bits"
+        block[kind][_query_key(q)] = cert.certified_bits(q)
+    return block
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -318,7 +311,7 @@ def _uniqueness_probe(functional, seeds=(11, 12, 13)) -> dict:
 
 
 def _even_primed(functional) -> list[JointQuery]:
-    return [q for q in _joint_queries(functional.scenario) if sum(q.settings) % 2 == 0]
+    return [q for q in _queries_of(JointQuery, functional.scenario) if sum(q.settings) % 2 == 0]
 
 
 def _chsh_fields(run: _DemoRun) -> dict:
@@ -423,7 +416,7 @@ _DEMOS = {
     "chsh": _Demo(
         lambda: chsh(),
         _chsh_fields,
-        queries=lambda cert: _local_queries(cert.functional.scenario),
+        queries=lambda cert: _queries_of(LocalQuery, cert.functional.scenario),
         observed=True,
         bound_keys=("maximizer_count",),
     ),
@@ -435,7 +428,7 @@ _DEMOS = {
     "chained-local": _Demo(
         lambda: chained_modular(2, 3),
         _chained_local_fields,
-        queries=lambda cert: _local_queries(cert.functional.scenario),
+        queries=lambda cert: _queries_of(LocalQuery, cert.functional.scenario),
         shift_only=True,
         # near-optimal Fourier-phase qudit model
         model=lambda: phase_measurement_model(2, 3, [0.0, 0.3812], [0.1906, 0.5718]),
@@ -459,7 +452,7 @@ _DEMOS = {
         _mermin_even_fields,
         # the joint input with the most certified bits
         queries=lambda cert: [
-            max(_joint_queries(cert.functional.scenario), key=cert.certified_bits)
+            max(_queries_of(JointQuery, cert.functional.scenario), key=cert.certified_bits)
         ],
         observed=True,
     ),

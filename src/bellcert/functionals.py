@@ -17,7 +17,6 @@ change of basis, each by an exact integer Walsh-Hadamard transform.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -33,6 +32,11 @@ from .scenario import (
     Scenario,
     ScenarioMismatchError,
     ValidationError,
+    _correlator_place,
+    _paired,
+    _strategy_outcomes,
+    _subset_sums,
+    _walsh_hadamard,
 )
 
 Orientation = str  # "max" | "min"
@@ -191,16 +195,7 @@ def evaluate(functional: BellFunctional, behavior: Behavior) -> float:
 def evaluate_on_strategy(functional: BellFunctional, strategy: Strategy) -> Fraction:
     """Exact value on a local deterministic strategy."""
     scenario = functional.scenario
-    if len(strategy) != scenario.parties:
-        raise ValidationError("strategy needs one setting->outcome map per party")
-    outcome = np.zeros(scenario.num_inputs, dtype=np.int64)
-    for i, m in enumerate(scenario.settings):
-        digits = np.asarray(strategy[i], dtype=np.int64)
-        if digits.shape != (m,) or digits.min() < 0 or digits.max() >= scenario.outcomes:
-            raise ValidationError(
-                f"party {i} needs one outcome in 0..{scenario.outcomes - 1} per setting"
-            )
-        outcome += digits[scenario.input_digits[:, i]] * scenario.outcome_strides[i]
+    outcome = _strategy_outcomes(scenario, strategy)
     total = functional.table[np.arange(scenario.num_inputs), outcome].sum()
     return Fraction(int(total), 1 << functional.log2_den)
 
@@ -208,19 +203,6 @@ def evaluate_on_strategy(functional: BellFunctional, strategy: Strategy) -> Frac
 # --- correlator view (two-outcome scenarios) --------------------------------
 
 CorrelatorKey = tuple[tuple[int, ...], tuple[int, ...]]
-
-
-def _butterfly(table: np.ndarray, n: int) -> np.ndarray:
-    """Exact Walsh-Hadamard transform over the last ``n`` (two-outcome) axes.
-
-    Entry b of the result is the sum over a of entry a times the product,
-    over the parties i with b_i = 1, of the sign 1 - 2 a_i.  The transform is
-    its own inverse up to a factor 2**n.
-    """
-    for axis in range(table.ndim - n, table.ndim):
-        low, high = np.take(table, 0, axis=axis), np.take(table, 1, axis=axis)
-        table = np.stack((low + high, low - high), axis=axis)
-    return table
 
 
 def from_correlator_terms(
@@ -257,13 +239,7 @@ def from_correlator_terms(
             raise ValidationError(
                 f"weight for {parties} cannot be spread dyadically over {n_ext} inputs"
             )
-        # the share sits at every setting of the other parties and at the
-        # subset's bits of the transformed outcome axes
-        setting = dict(zip(parties, assignment))
-        places.append(
-            tuple(setting.get(i, slice(None)) for i in range(n))
-            + tuple(int(i in setting) for i in range(n))
-        )
+        places.append(_correlator_place(n, parties, assignment))
         shares.append(share)
     log2_den = max(map(_log2_den, shares), default=0)
     nums = [s.numerator << (log2_den - _log2_den(s)) for s in shares]
@@ -273,7 +249,7 @@ def from_correlator_terms(
     for place, num in zip(places, nums):
         hat[place] += num
     return BellFunctional._from_table(
-        scenario, _butterfly(hat, n), log2_den, orientation=orientation, name=name
+        scenario, _walsh_hadamard(hat, n), log2_den, orientation=orientation, name=name
     )
 
 
@@ -294,16 +270,14 @@ def correlator_terms(
     hat = functional.table.astype(_exact_dtype(peak * scenario.num_inputs << n))
     # transform over outcomes per joint input, then sum each subset's column
     # over the settings of the parties outside it
-    hat = _butterfly(hat.reshape(scenario.settings + (2,) * n), n)
+    hat = _walsh_hadamard(hat.reshape(scenario.settings + (2,) * n), n)
     den = 1 << (n + functional.log2_den)
-    constant = Fraction(int(hat[(Ellipsis,) + (0,) * n].sum()), den)
+    sums = _subset_sums(scenario, hat)
+    constant = Fraction(int(next(sums)[1]), den)
     terms: dict[CorrelatorKey, Fraction] = {}
-    for r in range(1, n + 1):
-        for parties in itertools.combinations(range(n), r):
-            column = hat[(Ellipsis,) + tuple(int(i in parties) for i in range(n))]
-            summed = column.sum(axis=tuple(i for i in range(n) if i not in parties))
-            for assignment in zip(*(idx.tolist() for idx in np.nonzero(summed))):
-                terms[(parties, assignment)] = Fraction(int(summed[assignment]), den)
+    for parties, summed in sums:
+        for assignment in zip(*(idx.tolist() for idx in np.nonzero(summed))):
+            terms[(parties, assignment)] = Fraction(int(summed[assignment]), den)
     return terms, constant
 
 
@@ -316,7 +290,7 @@ def _full_correlators(weights: np.ndarray, log2_den: int, name: str) -> BellFunc
     hat = np.zeros(weights.shape + (2,) * n, dtype=np.int64)
     hat[(Ellipsis,) + (1,) * n] = weights
     scenario = Scenario(weights.shape, 2)
-    return BellFunctional._from_table(scenario, _butterfly(hat, n), log2_den, name=name)
+    return BellFunctional._from_table(scenario, _walsh_hadamard(hat, n), log2_den, name=name)
 
 
 def chsh() -> BellFunctional:
@@ -539,15 +513,13 @@ def local_bound(
     cap = _count_argument(cap, "cap")
     max_listed = _count_argument(max_listed, "max_listed")
     scenario = functional.scenario
-    d, settings, n = scenario.outcomes, scenario.settings, scenario.parties
+    d, settings = scenario.outcomes, scenario.settings
     total = math.prod(d**m for m in settings)
     if total > cap:
         raise CapExceededError(
             f"{total} deterministic strategies exceed the cap of {cap}"
         )
-    tensor = functional.table.reshape(*settings, *(d,) * n).transpose(
-        [axis for i in range(n) for axis in (i, n + i)]
-    )
+    tensor = _paired(scenario, functional.table)
     sign = 1 if functional.orientation == "max" else -1
     best: int | None = None
     count = 0

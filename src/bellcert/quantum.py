@@ -33,6 +33,9 @@ from .scenario import (
     Scenario,
     ScenarioMismatchError,
     ValidationError,
+    _pair_axes,
+    _paired,
+    _unpaired,
 )
 
 STATE_NORM_TOL = 1e-12
@@ -204,18 +207,6 @@ def phase_measurement_model(
     return QuantumModel(scenario, state, measurements)
 
 
-def _pair_axes(n: int) -> list[int]:
-    """Axis order taking (x_0..x_{N-1}, a_0..a_{N-1}) to (x_0, a_0, x_1, a_1, ...)."""
-    return [k for i in range(n) for k in (i, n + i)]
-
-
-def _paired_table(table: np.ndarray, sc: Scenario) -> np.ndarray:
-    """The coefficient table with each party's (setting, outcome) axes adjacent."""
-    return table.reshape(sc.settings + (sc.outcomes,) * sc.parties).transpose(
-        _pair_axes(sc.parties)
-    )
-
-
 def _contract(t: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
     """Sum the leading axis of ``t`` against each (R, A_j, B_j) matrix in turn.
 
@@ -301,9 +292,7 @@ def behavior_from_model(model: QuantumModel) -> Behavior:
     sc = model.scenario
     rho = _density(model.state.reshape(1, -1), model.local_dims)
     probs = _traced(rho, _party_stacks(sc, model.measurements)).real
-    probs = probs.reshape(tuple(k for m in sc.settings for k in (m, sc.outcomes)))
-    table = probs.transpose(np.argsort(_pair_axes(sc.parties)))
-    return Behavior(sc, table.reshape(sc.num_inputs, sc.num_outcomes))
+    return Behavior(sc, _unpaired(sc, probs))
 
 
 def bell_operator(
@@ -312,7 +301,7 @@ def bell_operator(
     """Hermitian operator sum c(a,x) prod_i Pi^{a_i}_{x_i} for fixed measurements."""
     sc = functional.scenario
     stacks = _party_stacks(sc, measurements)
-    return _bell_operators(_paired_table(functional.float_table, sc), stacks)[0]
+    return _bell_operators(_paired(sc, functional.float_table), stacks)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,7 +360,7 @@ def _seesaw(
     pick = -1 if sign > 0 else 0
     bloch = list(bloch)
     restarts = bloch[0].shape[0]
-    coeffs = _paired_table(functional.float_table, sc)
+    coeffs = _paired(sc, functional.float_table)
     final = [b.copy() for b in bloch]
     iterations = np.zeros(restarts, dtype=int)
     converged = np.zeros(restarts, dtype=bool)
@@ -479,11 +468,8 @@ def qubit_model_from_functional(
 # --- JSON serialization ------------------------------------------------------
 
 def _complex_to_pairs(arr: np.ndarray) -> list:
-    flat = np.asarray(arr, dtype=complex).reshape(-1)
-    out: list[float] = []
-    for z in flat:
-        out.extend((float(z.real), float(z.imag)))
-    return out
+    """Entries as a flat [re, im, re, im, ...] list of floats."""
+    return np.asarray(arr, dtype=complex).ravel().view(float).tolist()
 
 
 def _pairs_to_complex(pairs: Sequence[float], shape: tuple[int, ...]) -> np.ndarray:

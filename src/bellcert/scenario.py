@@ -10,6 +10,11 @@ Conventions shared by the whole package:
   (index 1); :func:`outcome_sign` converts.  For ``d > 2`` the labels are
   ``0..d-1`` and outcome arithmetic is modulo ``d``.
 
+A table over a scenario, such as a behavior's ``P(a|x)`` or a functional's
+coefficients, has shape (num_inputs, num_outcomes); :func:`_paired` views it
+with axes (x_0, a_0, x_1, a_1, ...), and :func:`_walsh_hadamard` takes its
+outcome axes to the +-1 correlator basis.
+
 A :class:`Behavior` is the full conditional probability table ``P(a|x)``.
 Two-outcome behaviors admit an equivalent description by their correlators
 (one expectation value per nonempty party subset and per assignment of
@@ -86,12 +91,7 @@ class Scenario:
 
     @cached_property
     def input_strides(self) -> tuple[int, ...]:
-        strides = []
-        acc = 1
-        for m in reversed(self.settings):
-            strides.append(acc)
-            acc *= m
-        return tuple(reversed(strides))
+        return tuple(math.prod(self.settings[i + 1 :]) for i in range(self.parties))
 
     @cached_property
     def outcome_strides(self) -> tuple[int, ...]:
@@ -134,18 +134,15 @@ class Scenario:
     @cached_property
     def input_digits(self) -> np.ndarray:
         """Array of shape (num_inputs, parties): setting of each party per joint input."""
-        digits = np.empty((self.num_inputs, self.parties), dtype=np.int64)
-        for i, (s, m) in enumerate(zip(self.input_strides, self.settings)):
-            digits[:, i] = (np.arange(self.num_inputs) // s) % m
+        digits = np.stack(np.unravel_index(np.arange(self.num_inputs), self.settings), axis=1)
         digits.setflags(write=False)
         return digits
 
     @cached_property
     def outcome_digits(self) -> np.ndarray:
         """Array of shape (num_outcomes, parties): outcome of each party per joint outcome."""
-        digits = np.empty((self.num_outcomes, self.parties), dtype=np.int64)
-        for i, s in enumerate(self.outcome_strides):
-            digits[:, i] = (np.arange(self.num_outcomes) // s) % self.outcomes
+        shape = (self.outcomes,) * self.parties
+        digits = np.stack(np.unravel_index(np.arange(self.num_outcomes), shape), axis=1)
         digits.setflags(write=False)
         return digits
 
@@ -164,11 +161,70 @@ class Scenario:
 
     def subset_setting_keys(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
         """All (party subset, settings for that subset) keys, subsets sorted."""
-        for r in range(1, self.parties + 1):
-            for parties in itertools.combinations(range(self.parties), r):
-                ranges = [range(self.settings[i]) for i in parties]
-                for assignment in itertools.product(*ranges):
-                    yield parties, assignment
+        for parties in itertools.islice(_party_subsets(self.parties), 1, None):
+            ranges = [range(self.settings[i]) for i in parties]
+            for assignment in itertools.product(*ranges):
+                yield parties, assignment
+
+
+# --- table layout ------------------------------------------------------------
+
+def _pair_axes(n: int) -> list[int]:
+    """Axis order taking (x_0..x_{N-1}, a_0..a_{N-1}) to (x_0, a_0, x_1, a_1, ...)."""
+    return [k for i in range(n) for k in (i, n + i)]
+
+
+def _paired(scenario: Scenario, table: np.ndarray) -> np.ndarray:
+    """The view T[x_0, a_0, x_1, a_1, ...] of a table with the scenario's events."""
+    shape = scenario.settings + (scenario.outcomes,) * scenario.parties
+    return table.reshape(shape).transpose(_pair_axes(scenario.parties))
+
+
+def _unpaired(scenario: Scenario, paired: np.ndarray) -> np.ndarray:
+    """The (num_inputs, num_outcomes) table of a party-paired array; inverts :func:`_paired`."""
+    shape = tuple(k for m in scenario.settings for k in (m, scenario.outcomes))
+    table = paired.reshape(shape).transpose(np.argsort(_pair_axes(scenario.parties)))
+    return table.reshape(scenario.num_inputs, scenario.num_outcomes)
+
+
+def _party_subsets(n: int) -> Iterator[tuple[int, ...]]:
+    """Every subset of the parties 0..n-1, by size, each size in combinations order."""
+    return itertools.chain.from_iterable(
+        itertools.combinations(range(n), r) for r in range(n + 1)
+    )
+
+
+def _walsh_hadamard(table: np.ndarray, n: int) -> np.ndarray:
+    """Exact Walsh-Hadamard transform over the last ``n`` (two-outcome) axes.
+
+    Entry b of the result is the sum over a of entry a times the product,
+    over the parties i with b_i = 1, of the sign 1 - 2 a_i.  The transform is
+    its own inverse up to a factor 2**n.
+    """
+    for axis in range(table.ndim - n, table.ndim):
+        low, high = np.take(table, 0, axis=axis), np.take(table, 1, axis=axis)
+        table = np.stack((low + high, low - high), axis=axis)
+    return table
+
+
+def _correlator_place(n: int, parties, assignment) -> tuple:
+    """Where the correlator key (parties, assignment) sits in a transformed
+    table with axes (x_0..x_{N-1}, b_0..b_{N-1}): at every setting of the
+    other parties, and at b_i = 1 exactly for the parties in the subset."""
+    setting = dict(zip(parties, assignment))
+    return tuple(setting.get(i, slice(None)) for i in range(n)) + tuple(
+        int(i in setting) for i in range(n)
+    )
+
+
+def _subset_sums(scenario: Scenario, hat: np.ndarray):
+    """Each party subset S, empty first, with the column b_i = [i in S] of the
+    transformed table ``hat`` (axes (x_0..x_{N-1}, b_0..b_{N-1})) summed over
+    the settings outside S: one axis per party of S, in key order."""
+    n = scenario.parties
+    for parties in _party_subsets(n):
+        column = hat[(Ellipsis,) + tuple(int(i in parties) for i in range(n))]
+        yield parties, column.sum(axis=tuple(i for i in range(n) if i not in parties))
 
 
 @dataclass(frozen=True)
@@ -187,6 +243,19 @@ class LocalQuery:
 
     party: int
     setting: int
+
+
+def _queries(scenario: Scenario) -> list[JointQuery | LocalQuery]:
+    """Every query: each joint input in index order, then each party's settings."""
+    joint = [JointQuery(x) for x in scenario.joint_inputs()]
+    return joint + [LocalQuery(i, x) for i, m in enumerate(scenario.settings) for x in range(m)]
+
+
+def _query_key(query: JointQuery | LocalQuery) -> str:
+    """The JSON key of a query: ``x=0,1`` or ``party=0,setting=1``."""
+    if isinstance(query, JointQuery):
+        return "x=" + ",".join(str(s) for s in query.settings)
+    return f"party={query.party},setting={query.setting}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,6 +326,35 @@ def uniform_behavior(scenario: Scenario) -> Behavior:
     )
 
 
+def _strategy_digits(scenario: Scenario, strategy) -> list[np.ndarray]:
+    """Each party's outcome index at each of its settings, checked: one
+    integer array of length M_i per party, entries in 0..d-1."""
+    if len(strategy) != scenario.parties:
+        raise ValidationError("strategy needs one setting->outcome map per party")
+    digits = []
+    for i, m in enumerate(scenario.settings):
+        try:
+            outcomes = np.asarray(strategy[i])
+        except ValueError:  # ragged nesting
+            outcomes = np.zeros(0)
+        if outcomes.dtype.kind not in "iu" or outcomes.shape != (m,) or not (
+            (0 <= outcomes) & (outcomes < scenario.outcomes)
+        ).all():
+            raise ValidationError(
+                f"party {i} needs one outcome in 0..{scenario.outcomes - 1} per setting"
+            )
+        digits.append(outcomes.astype(np.int64))
+    return digits
+
+
+def _strategy_outcomes(scenario: Scenario, strategy) -> np.ndarray:
+    """The joint outcome index a local deterministic strategy gives at every joint input."""
+    outcome = np.zeros(scenario.num_inputs, dtype=np.int64)
+    for i, digits in enumerate(_strategy_digits(scenario, strategy)):
+        outcome += digits[scenario.input_digits[:, i]] * scenario.outcome_strides[i]
+    return outcome
+
+
 def deterministic_behavior(
     scenario: Scenario, strategy: Sequence[Sequence[int]]
 ) -> Behavior:
@@ -265,13 +363,8 @@ def deterministic_behavior(
     ``strategy[i][x]`` is the outcome index party ``i`` produces for its
     setting ``x``.
     """
-    if len(strategy) != scenario.parties:
-        raise ValidationError("strategy needs one setting->outcome map per party")
     table = np.zeros((scenario.num_inputs, scenario.num_outcomes))
-    for x_idx in range(scenario.num_inputs):
-        x = scenario.input_tuple(x_idx)
-        a = tuple(strategy[i][xi] for i, xi in enumerate(x))
-        table[x_idx, scenario.outcome_index(a)] = 1.0
+    table[np.arange(scenario.num_inputs), _strategy_outcomes(scenario, strategy)] = 1.0
     return Behavior(scenario, table)
 
 
@@ -311,15 +404,6 @@ class CorrelatorForm:
         return self.values[(tuple(parties), tuple(settings))]
 
 
-def _subset_sign_columns(scenario: Scenario, parties: tuple[int, ...]) -> np.ndarray:
-    """Product over the subset of per-party outcome signs, one entry per joint outcome."""
-    signs = scenario.outcome_signs
-    out = np.ones(scenario.num_outcomes)
-    for i in parties:
-        out = out * signs[:, i]
-    return out
-
-
 def correlators_from_behavior(behavior: Behavior) -> CorrelatorForm:
     """Extract every subset correlator of a two-outcome behavior.
 
@@ -330,15 +414,12 @@ def correlators_from_behavior(behavior: Behavior) -> CorrelatorForm:
     scenario = behavior.scenario
     if scenario.outcomes != 2:
         raise ValidationError("correlators require a two-outcome scenario")
-    x_digits = scenario.input_digits
+    n = scenario.parties
+    hat = _walsh_hadamard(behavior.table.reshape(scenario.settings + (2,) * n), n)
     values: dict[tuple[tuple[int, ...], tuple[int, ...]], float] = {}
-    for parties, assignment in scenario.subset_setting_keys():
-        signs = _subset_sign_columns(scenario, parties)
-        per_input = behavior.table @ signs
-        mask = np.ones(scenario.num_inputs, dtype=bool)
-        for i, xi in zip(parties, assignment):
-            mask &= x_digits[:, i] == xi
-        values[(parties, assignment)] = float(per_input[mask].mean())
+    for parties, summed in itertools.islice(_subset_sums(scenario, hat), 1, None):
+        means = (summed / (scenario.num_inputs // summed.size)).ravel().tolist()
+        values.update(zip(((parties, a) for a in np.ndindex(summed.shape)), means))
     return CorrelatorForm(scenario, values)
 
 
@@ -349,14 +430,12 @@ def behavior_from_correlators(form: CorrelatorForm) -> Behavior:
     pair if any reconstructed probability is negative beyond tolerance.
     """
     scenario = form.scenario
-    x_digits = scenario.input_digits
-    table = np.ones((scenario.num_inputs, scenario.num_outcomes))
-    for parties, assignment in scenario.subset_setting_keys():
-        signs = _subset_sign_columns(scenario, parties)
-        mask = np.ones(scenario.num_inputs, dtype=bool)
-        for i, xi in zip(parties, assignment):
-            mask &= x_digits[:, i] == xi
-        table[mask] += form.values[(parties, assignment)] * signs
+    n = scenario.parties
+    hat = np.zeros(scenario.settings + (2,) * n)
+    hat[(Ellipsis,) + (0,) * n] = 1.0
+    for (parties, assignment), value in form.values.items():
+        hat[_correlator_place(n, parties, assignment)] = value
+    table = _walsh_hadamard(hat, n).reshape(scenario.num_inputs, scenario.num_outcomes)
     table /= scenario.num_outcomes
     low = table.min()
     if low < -NORMALIZATION_TOL:
@@ -368,14 +447,29 @@ def behavior_from_correlators(form: CorrelatorForm) -> Behavior:
     return Behavior(scenario, table)
 
 
-def _subset_marginal_table(behavior: Behavior, parties: tuple[int, ...]) -> np.ndarray:
-    """Marginal over a party subset for every joint input: shape (num_inputs, d^|S|)."""
+def _subset_rows(behavior: Behavior, parties: tuple[int, ...]) -> np.ndarray:
+    """Marginals of a party subset: one axis per setting of the subset, then
+    one row per joint input extending that assignment, in joint-input order,
+    then the subset's joint outcomes."""
     scenario = behavior.scenario
-    d = scenario.outcomes
-    shaped = behavior.table.reshape((scenario.num_inputs,) + (d,) * scenario.parties)
-    drop = tuple(1 + i for i in range(scenario.parties) if i not in parties)
-    summed = shaped.sum(axis=drop) if drop else shaped
-    return summed.reshape(scenario.num_inputs, d ** len(parties))
+    n = scenario.parties
+    shaped = behavior.table.reshape((scenario.num_inputs,) + (scenario.outcomes,) * n)
+    others = [i for i in range(n) if i not in parties]
+    summed = shaped.sum(axis=tuple(1 + i for i in others))
+    summed = summed.reshape(scenario.settings + (-1,)).transpose([*parties, *others, n])
+    return summed.reshape(summed.shape[: len(parties)] + (-1, summed.shape[-1]))
+
+
+def _warn_if_signaling(rows: np.ndarray, parties: tuple[int, ...], tol: float) -> None:
+    """Warn when the rows one marginal averages (axis -2) spread by more than ``tol``."""
+    spread = float(np.ptp(rows, axis=-2).max())
+    if spread > tol:
+        warnings.warn(
+            f"marginal of parties {parties} depends on other settings "
+            f"(spread {spread:.3e}); returning the average",
+            SignalingWarning,
+            stacklevel=3,
+        )
 
 
 def is_no_signaling(
@@ -386,23 +480,12 @@ def is_no_signaling(
     Returns ``(ok, worst)`` where ``worst`` is the largest deviation found
     between marginals that should coincide.
     """
-    scenario = behavior.scenario
-    if scenario.parties == 1:
-        return True, 0.0
-    x_digits = scenario.input_digits
-    worst = 0.0
-    for r in range(1, scenario.parties):
-        for parties in itertools.combinations(range(scenario.parties), r):
-            marg = _subset_marginal_table(behavior, parties)
-            # group joint inputs by the subset's settings and compare rows
-            keys = np.zeros(scenario.num_inputs, dtype=np.int64)
-            for i in parties:
-                keys = keys * scenario.settings[i] + x_digits[:, i]
-            for key in np.unique(keys):
-                rows = marg[keys == key]
-                if len(rows) > 1:
-                    dev = float((rows.max(axis=0) - rows.min(axis=0)).max())
-                    worst = max(worst, dev)
+    n = behavior.scenario.parties
+    proper = itertools.islice(_party_subsets(n), 1, 2**n - 1)
+    worst = max(
+        (float(np.ptp(_subset_rows(behavior, parties), axis=-2).max()) for parties in proper),
+        default=0.0,
+    )
     return worst <= tol, worst
 
 
@@ -433,19 +516,8 @@ def marginal(
     for i, s in zip(parties, settings):
         if not 0 <= s < scenario.settings[i]:
             raise ValidationError(f"setting {s} out of range for party {i}")
-    marg = _subset_marginal_table(behavior, parties)
-    mask = np.ones(scenario.num_inputs, dtype=bool)
-    for i, s in zip(parties, settings):
-        mask &= scenario.input_digits[:, i] == s
-    rows = marg[mask]
-    spread = float((rows.max(axis=0) - rows.min(axis=0)).max()) if len(rows) > 1 else 0.0
-    if spread > tol:
-        warnings.warn(
-            f"marginal of parties {parties} depends on other settings "
-            f"(spread {spread:.3e}); returning the average",
-            SignalingWarning,
-            stacklevel=2,
-        )
+    rows = _subset_rows(behavior, parties)[settings]
+    _warn_if_signaling(rows, parties, tol)
     return rows.mean(axis=0)
 
 
@@ -454,9 +526,8 @@ def marginal(
 def behavior_to_dict(behavior: Behavior) -> dict:
     scenario = behavior.scenario
     table = {}
-    for x_idx in range(scenario.num_inputs):
-        key = "x=" + ",".join(str(s) for s in scenario.input_tuple(x_idx))
-        table[key] = [float(p) for p in behavior.table[x_idx]]
+    for x, row in zip(scenario.joint_inputs(), behavior.table.tolist()):
+        table[_query_key(JointQuery(x))] = row
     return {
         "parties": scenario.parties,
         "settings": list(scenario.settings),

@@ -11,8 +11,9 @@ query equals log2 of the smallest forced-equal event class there.
 
 Composition order inside one relabeling is fixed: input permutations first,
 then output permutations (attached to the *image* setting), then the party
-permutation.  This gives an unambiguous group law, exercised by the
-group-action property tests.
+permutation.  A relabeling is fixed by its images of the single-party events
+(party, setting, outcome), so the group law is that of these permutations:
+inverse and composition act on the images and read the blocks back.
 """
 
 from __future__ import annotations
@@ -28,13 +29,19 @@ import numpy as np
 
 from .functionals import BellFunctional, Strategy
 from .scenario import (
+    NO_SIGNALING_TOL,
     Behavior,
     JointQuery,
     LocalQuery,
     Scenario,
     ScenarioMismatchError,
     ValidationError,
-    marginal,
+    _paired,
+    _queries,
+    _query_key,
+    _strategy_digits,
+    _subset_rows,
+    _warn_if_signaling,
 )
 
 DEFAULT_SEARCH_CAP = 10**8
@@ -149,68 +156,32 @@ class Relabeling:
 
     # -- group operations ------------------------------------------------------
 
+    @property
+    def _images(self) -> np.ndarray:
+        """Images of the single-party events (party, setting, outcome)."""
+        return _event_perms(self.scenario, [self])[1][0]
+
     def inverse(self) -> "Relabeling":
-        sc = self.scenario
-        inv_party = None
-        if self.party_perm is not None:
-            inv_party = tuple(int(v) for v in np.argsort(self.party_perm))
-        in_perms = []
-        out_perms = []
-        for k in range(sc.parties):
-            i = k if inv_party is None else inv_party[k]
-            sigma = self.input_perms[i]
-            sigma_inv = tuple(int(v) for v in np.argsort(sigma))
-            in_perms.append(sigma_inv)
-            # the inverse outcome permutation at image setting z undoes the
-            # outcome permutation this relabeling attached at setting sigma(z)
-            per_setting = []
-            for z in range(sc.settings[i]):
-                tau = self.output_perms[i][sigma[z]]
-                per_setting.append(tuple(int(v) for v in np.argsort(tau)))
-            out_perms.append(tuple(per_setting))
-        return Relabeling(sc, tuple(in_perms), tuple(out_perms), inv_party)
+        return _from_local(self.scenario, np.argsort(self._images))
 
     def __matmul__(self, other: "Relabeling") -> "Relabeling":
         """Composite relabeling: ``self`` applied after ``other``."""
         if self.scenario != other.scenario:
             raise ScenarioMismatchError("cannot compose relabelings of different scenarios")
-        sc = self.scenario
-        in_perms = []
-        out_perms = []
-        for i in range(sc.parties):
-            mid = other._slot(i)
-            sig_o = other.input_perms[i]
-            sig_s = self.input_perms[mid]
-            composed = tuple(sig_s[sig_o[x]] for x in range(sc.settings[i]))
-            in_perms.append(composed)
-            per_setting = []
-            for y in range(sc.settings[i]):
-                # y is the final image setting; other's outcome permutation
-                # acted at the intermediate setting that self maps onto y
-                mid_setting = sig_s.index(y)
-                tau_o = other.output_perms[i][mid_setting]
-                tau_s = self.output_perms[mid][y]
-                per_setting.append(tuple(tau_s[tau_o[o]] for o in range(sc.outcomes)))
-            out_perms.append(tuple(per_setting))
-        party_perm = None
-        if self.party_perm is not None or other.party_perm is not None:
-            party_perm = tuple(self._slot(other._slot(i)) for i in range(sc.parties))
-        return Relabeling(sc, tuple(in_perms), tuple(out_perms), party_perm)
+        return _from_local(self.scenario, self._images[other._images])
 
     # -- actions ---------------------------------------------------------------
 
     def apply_to_strategy(self, strategy: Strategy) -> Strategy:
         """Image of a local deterministic strategy under the relabeling."""
         sc = self.scenario
-        moved: list[tuple[int, ...]] = [()] * sc.parties
-        for i in range(sc.parties):
-            sigma = self.input_perms[i]
-            new = [0] * sc.settings[i]
-            for x in range(sc.settings[i]):
-                y = sigma[x]
-                new[y] = self.output_perms[i][y][strategy[i][x]]
-            moved[self._slot(i)] = tuple(new)
-        return tuple(moved)
+        outcomes = np.concatenate(_strategy_digits(sc, strategy))
+        # the event (party, setting, outcome the strategy gives there) and its image
+        images = self._images[np.arange(outcomes.size) * sc.outcomes + outcomes]
+        moved = np.empty_like(outcomes)
+        moved[images // sc.outcomes] = images % sc.outcomes
+        flat, starts = moved.tolist(), list(itertools.accumulate(sc.settings, initial=0))
+        return tuple(tuple(flat[a:b]) for a, b in zip(starts, starts[1:]))
 
 
 def identity_relabeling(scenario: Scenario) -> Relabeling:
@@ -248,18 +219,30 @@ def _local_images(d: int, sigma: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return (sigma[:, :, None] * d + tau[np.arange(count)[:, None], sigma]).reshape(count, m * d)
 
 
-def _party_major_index(scenario: Scenario) -> np.ndarray:
-    """The party-major index sum_i (x_i·d + a_i)·stride_i (radix M_i·d, party 0
-    most significant) at every flat joint event x * num_outcomes + a."""
-    d = scenario.outcomes
-    radix = [m * d for m in scenario.settings]
-    strides = np.array([math.prod(radix[i + 1 :]) for i in range(len(radix))], dtype=np.int64)
-    index = (scenario.input_digits @ strides)[:, None] * d + scenario.outcome_digits @ strides
-    return index.reshape(-1)
-
-
 def _marginal_offsets(scenario: Scenario) -> list[int]:
     return [0, *itertools.accumulate(m * scenario.outcomes for m in scenario.settings)]
+
+
+def _from_local(scenario: Scenario, images: np.ndarray) -> Relabeling:
+    """The relabeling with the given images of the single-party events.
+
+    Party i's events land in the block of one slot j; its setting x goes to
+    σ(x) = image // d and its outcome o to τ[σ(x)][o] = image % d, both read
+    from the images' positions in that block.
+    """
+    d = scenario.outcomes
+    offsets = _marginal_offsets(scenario)
+    slots = (np.searchsorted(offsets, images[offsets[:-1]], side="right") - 1).tolist()
+    input_perms, output_perms = [], []
+    for i, m in enumerate(scenario.settings):
+        local = images[offsets[i] : offsets[i + 1]].reshape(m, d) - offsets[slots[i]]
+        sigma = local[:, 0] // d
+        tau = np.empty_like(local)
+        tau[sigma] = local % d
+        input_perms.append(tuple(sigma.tolist()))
+        output_perms.append(tuple(map(tuple, tau.tolist())))
+    party_perm = None if slots == list(range(scenario.parties)) else tuple(slots)
+    return Relabeling._from_blocks(scenario, tuple(input_perms), tuple(output_perms), party_perm)
 
 
 def _event_perms(
@@ -461,9 +444,7 @@ def find_symmetries(
     )
     head, tail = _block_combinations(images[:k]), _block_combinations(images[k:])
     shape = (head.shape[1], tail.shape[1])
-    table = np.empty(functional.table.size, dtype=functional.table.dtype)
-    table[_party_major_index(scenario)] = functional.table.reshape(-1)
-    table = table.reshape([m * d for m in scenario.settings])
+    table = _paired(scenario, functional.table).reshape([m * d for m in scenario.settings])
 
     columns, ids = np.unique(_rows(table.reshape(shape).T), return_inverse=True)
     keys = np.empty(tail.shape, dtype=np.intp)
@@ -627,15 +608,16 @@ class UniformityCertificate:
         base = _marginal_offsets(sc)[party] + setting * sc.outcomes
         return _classes(self.marginal_orbits[base : base + sc.outcomes])
 
+    def _query_classes(self, query: JointQuery | LocalQuery) -> list[list[int]]:
+        if isinstance(query, JointQuery):
+            return self.joint_classes(query.settings)
+        if isinstance(query, LocalQuery):
+            return self.marginal_classes(query.party, query.setting)
+        raise ValidationError(f"unsupported query {query!r}")
+
     def certified_bits(self, query: JointQuery | LocalQuery) -> float:
         """Min-entropy bound at the query: log2 of the smallest event class."""
-        if isinstance(query, JointQuery):
-            classes = self.joint_classes(query.settings)
-        elif isinstance(query, LocalQuery):
-            classes = self.marginal_classes(query.party, query.setting)
-        else:
-            raise ValidationError(f"unsupported query {query!r}")
-        return math.log2(min(len(cls) for cls in classes))
+        return math.log2(min(len(cls) for cls in self._query_classes(query)))
 
 
 def certify_uniform(
@@ -669,9 +651,7 @@ def certify_all(
     """Certified bits for every joint input and every (party, setting)."""
     sc = functional.scenario
     cert = certify_uniform(functional, generators, JointQuery(sc.input_tuple(0)))
-    queries: list[JointQuery | LocalQuery] = [JointQuery(x) for x in sc.joint_inputs()]
-    queries += [LocalQuery(i, x) for i in range(sc.parties) for x in range(sc.settings[i])]
-    return {q: cert.certified_bits(q) for q in queries}
+    return {q: cert.certified_bits(q) for q in _queries(sc)}
 
 
 def orbit_equality_violation(
@@ -686,12 +666,12 @@ def orbit_equality_violation(
     sc = cert.functional.scenario
     if behavior.scenario != sc:
         raise ScenarioMismatchError("certificate and behavior scenarios differ")
-    offsets = _marginal_offsets(sc)
-    marg_vals = np.empty(offsets[-1])
+    marginals = []
     for i in range(sc.parties):
-        for x in range(sc.settings[i]):
-            base = offsets[i] + x * sc.outcomes
-            marg_vals[base : base + sc.outcomes] = marginal(behavior, (i,), (x,))
+        rows = _subset_rows(behavior, (i,))  # (setting, other inputs, outcome)
+        _warn_if_signaling(rows, (i,), NO_SIGNALING_TOL)
+        marginals.append(rows.mean(axis=1).reshape(-1))
+    marg_vals = np.concatenate(marginals)
     joint = behavior.table.reshape(-1)
     return max(
         _largest_spread(values, ids)
@@ -742,28 +722,17 @@ def relabeling_from_dict(scenario: Scenario, data: Mapping) -> Relabeling:
 
 
 def certificate_to_dict(cert: UniformityCertificate) -> dict:
-    sc = cert.functional.scenario
-    joint = {}
-    for x_idx in range(sc.num_inputs):
-        x = sc.input_tuple(x_idx)
-        key = "x=" + ",".join(str(s) for s in x)
-        joint[key] = {
-            "bits": cert.certified_bits(JointQuery(x)),
-            "classes": cert.joint_classes(x),
+    blocks: dict[type, dict] = {JointQuery: {}, LocalQuery: {}}
+    for q in _queries(cert.functional.scenario):
+        blocks[type(q)][_query_key(q)] = {
+            "bits": cert.certified_bits(q),
+            "classes": cert._query_classes(q),
         }
-    local = {}
-    for i in range(sc.parties):
-        for x in range(sc.settings[i]):
-            key = f"party={i},setting={x}"
-            local[key] = {
-                "bits": cert.certified_bits(LocalQuery(i, x)),
-                "classes": cert.marginal_classes(i, x),
-            }
     return {
         "functional": cert.functional.name,
         "generators": [relabeling_to_dict(g) for g in cert.generators],
-        "joint": joint,
-        "local": local,
+        "joint": blocks[JointQuery],
+        "local": blocks[LocalQuery],
         "assumes_unique_maximizer": cert.assumes_unique_maximizer,
         "assumption": cert.assumption,
     }
