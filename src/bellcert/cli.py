@@ -56,7 +56,7 @@ from .scenario import (
 )
 from .symmetry import (
     SearchCapExceededError,
-    certify_uniform,
+    _certify_all_queries,
     find_symmetries,
     orbit_equality_violation,
     outcome_shift,
@@ -153,12 +153,6 @@ def _queries_of(kind: type, sc) -> list:
     return [q for q in _queries(sc) if isinstance(q, kind)]
 
 
-def _certificate(functional, generators):
-    """A certificate for every query at once: its orbits do not depend on the query."""
-    first = JointQuery(functional.scenario.input_tuple(0))
-    return certify_uniform(functional, generators, first)
-
-
 def _bits_block(cert) -> dict:
     block: dict = {"joint_bits": {}, "local_bits": {}}
     for q in _queries(cert.functional.scenario):
@@ -234,7 +228,7 @@ def _cmd_certify(args: argparse.Namespace) -> dict:
     generators = find_symmetries(
         functional, include_party_perms=args.party_perms, cap=args.cap
     )
-    cert = _certificate(functional, generators)
+    cert = _certify_all_queries(functional, generators)
     out = {
         "functional": functional.name,
         "generator_count": len(cert.generators),
@@ -379,7 +373,7 @@ def _mermin_odd_fields(run: _DemoRun) -> dict:
     parties = run.functional.scenario.parties
     correlators = correlators_from_behavior(run.behavior).values
     five = mermin(5)
-    cert5 = _certificate(five, find_symmetries(five))
+    cert5 = _certify_all_queries(five, find_symmetries(five))
     bits5 = {_query_key(q): cert5.certified_bits(q) for q in _even_primed(five)}
     bits3 = {_query_key(q): run.cert.certified_bits(q) for q in run.queries}
     return {
@@ -486,7 +480,7 @@ def _run_demo(name: str, seed: int) -> dict:
     cert, queries = None, []
     if spec.queries is not None:
         gens = [outcome_shift(functional.scenario)] if spec.shift_only else generators
-        cert = _certificate(functional, gens)
+        cert = _certify_all_queries(functional, gens)
         queries = spec.queries(cert)
         document["certification"] = _bits_block(cert)
     if spec.model is None:

@@ -60,9 +60,7 @@ def qubit_projectors(bloch: Sequence[float]) -> np.ndarray:
     norm = float(np.linalg.norm(n))
     if abs(norm - 1.0) > 1e-9:
         raise ValidationError(f"Bloch vector must be unit length, got norm {norm}")
-    obs = np.einsum("k,kij->ij", n, PAULIS)
-    eye = np.eye(2, dtype=complex)
-    return np.stack([(eye + obs) / 2, (eye - obs) / 2])
+    return _qubit_stacks(n[None, None])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -456,13 +454,12 @@ def qubit_model_from_functional(
 ) -> QuantumModel:
     """Model whose state is the extremal eigenvector for the given measurements."""
     sc = functional.scenario
-    projectors = [
-        [qubit_projectors(v) for v in per_party] for per_party in bloch
-    ]
-    op = bell_operator(functional, projectors)
+    stacks = [_qubit_stacks(np.asarray(b, dtype=float)[None]) for b in bloch]
+    op = _bell_operators(_paired(sc, functional.float_table), stacks)[0]
     vals, vecs = np.linalg.eigh(op)
     idx = -1 if functional.orientation == "max" else 0
-    return qubit_model(sc, vecs[:, idx], bloch)
+    measurements = [tuple(s[0].reshape(-1, 2, 2, 2)) for s in stacks]
+    return QuantumModel(sc, vecs[:, idx], measurements, bloch=bloch)
 
 
 # --- JSON serialization ------------------------------------------------------

@@ -433,8 +433,12 @@ def behavior_from_correlators(form: CorrelatorForm) -> Behavior:
     n = scenario.parties
     hat = np.zeros(scenario.settings + (2,) * n)
     hat[(Ellipsis,) + (0,) * n] = 1.0
-    for (parties, assignment), value in form.values.items():
-        hat[_correlator_place(n, parties, assignment)] = value
+    # each subset's correlators, in key order, as one block over its settings
+    values = (form.values[key] for key in scenario.subset_setting_keys())
+    for parties in itertools.islice(_party_subsets(n), 1, None):
+        shape = [scenario.settings[i] if i in parties else 1 for i in range(n)]
+        block = np.fromiter(values, float, math.prod(shape)).reshape(shape)
+        hat[(Ellipsis,) + tuple(int(i in parties) for i in range(n))] = block
     table = _walsh_hadamard(hat, n).reshape(scenario.num_inputs, scenario.num_outcomes)
     table /= scenario.num_outcomes
     low = table.min()

@@ -107,16 +107,17 @@ class Relabeling:
         object.__setattr__(self, "party_perm", party_perm)
 
     @classmethod
-    def _from_blocks(cls, scenario, input_perms, output_perms, party_perm):
+    def _from_blocks(cls, scenario, input_perms, output_perms, party_perm, **cached):
         """A relabeling from blocks that are valid by construction: tuples of
         ints, and a party permutation already normalised (``None`` for the
-        identity).  Skips the checks of ``__post_init__``."""
+        identity); ``cached`` presets cached properties.  Skips the checks."""
         relabeling = cls.__new__(cls)
         relabeling.__dict__.update(
             scenario=scenario,
             input_perms=input_perms,
             output_perms=output_perms,
             party_perm=party_perm,
+            **cached,
         )
         return relabeling
 
@@ -124,19 +125,8 @@ class Relabeling:
 
     @property
     def is_identity(self) -> bool:
-        sc = self.scenario
-        return (
-            self.party_perm is None
-            and all(p == tuple(range(sc.settings[i])) for i, p in enumerate(self.input_perms))
-            and all(
-                q == tuple(range(sc.outcomes))
-                for per_setting in self.output_perms
-                for q in per_setting
-            )
-        )
-
-    def _slot(self, i: int) -> int:
-        return i if self.party_perm is None else self.party_perm[i]
+        """True iff every single-party event is its own image."""
+        return bool((self._images == np.arange(self._images.size)).all())
 
     @cached_property
     def event_maps(self) -> tuple[np.ndarray, np.ndarray]:
@@ -147,7 +137,7 @@ class Relabeling:
         setting.
         """
         sc = self.scenario
-        perm = _event_perms(sc, [self])[0].reshape(sc.num_inputs, sc.num_outcomes)
+        perm = _joint_perms(sc, self._images[None]).reshape(sc.num_inputs, sc.num_outcomes)
         input_map = perm[:, 0] // sc.num_outcomes
         outcome_map = perm % sc.num_outcomes
         input_map.setflags(write=False)
@@ -156,10 +146,12 @@ class Relabeling:
 
     # -- group operations ------------------------------------------------------
 
-    @property
+    @cached_property
     def _images(self) -> np.ndarray:
-        """Images of the single-party events (party, setting, outcome)."""
-        return _event_perms(self.scenario, [self])[1][0]
+        """Images of the single-party events (party, setting, outcome), read-only."""
+        images = _marginal_images(self.scenario, [self])[0]
+        images.setflags(write=False)
+        return images
 
     def inverse(self) -> "Relabeling":
         return _from_local(self.scenario, np.argsort(self._images))
@@ -207,9 +199,10 @@ def outcome_shift(scenario: Scenario, step: int = 1) -> Relabeling:
 
 
 # --- event images -------------------------------------------------------------
-# Every event map starts from one per-party local image: a block (sigma, tau)
-# sends local event x·d + a to sigma(x)·d + tau[sigma(x)][a], placed at the
-# stride of the party's slot.
+# A relabeling is fixed by its images of the single-party events (party,
+# setting, outcome): a block (sigma, tau) sends local event x·d + a to
+# sigma(x)·d + tau[sigma(x)][a], placed in the block of the party's slot.
+# Joint-event permutations are read from these images.
 
 
 def _local_images(d: int, sigma: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -223,8 +216,30 @@ def _marginal_offsets(scenario: Scenario) -> list[int]:
     return [0, *itertools.accumulate(m * scenario.outcomes for m in scenario.settings)]
 
 
+def _marginal_images(scenario: Scenario, relabelings: Sequence[Relabeling]) -> np.ndarray:
+    """Images of the single-party events (party, setting, outcome), one row
+    per relabeling: every party's blocks side by side, settings shifted to
+    their party's columns, images moved from the party's block to its slot's."""
+    count, d, n = len(relabelings), scenario.outcomes, scenario.parties
+    offsets = np.array(_marginal_offsets(scenario))
+    flat, settings = itertools.chain.from_iterable, sum(scenario.settings)
+    firsts = np.repeat(offsets[:-1] // d, scenario.settings)
+    sigmas = np.fromiter(
+        flat(flat(g.input_perms) for g in relabelings), np.int64, count * settings
+    ).reshape(count, settings)
+    taus = np.fromiter(
+        flat(flat(flat(g.output_perms)) for g in relabelings), np.int64, count * settings * d
+    ).reshape(count, settings, d)
+    slots = np.fromiter(
+        flat(g.party_perm or range(n) for g in relabelings), np.int64, count * n
+    ).reshape(count, n)
+    shifts = np.repeat(offsets[slots] - offsets[:-1], np.diff(offsets), axis=1)
+    return _local_images(d, sigmas + firsts, taus) + shifts
+
+
 def _from_local(scenario: Scenario, images: np.ndarray) -> Relabeling:
-    """The relabeling with the given images of the single-party events.
+    """The relabeling with the given images of the single-party events, which
+    it keeps.
 
     Party i's events land in the block of one slot j; its setting x goes to
     σ(x) = image // d and its outcome o to τ[σ(x)][o] = image % d, both read
@@ -242,64 +257,52 @@ def _from_local(scenario: Scenario, images: np.ndarray) -> Relabeling:
         input_perms.append(tuple(sigma.tolist()))
         output_perms.append(tuple(map(tuple, tau.tolist())))
     party_perm = None if slots == list(range(scenario.parties)) else tuple(slots)
-    return Relabeling._from_blocks(scenario, tuple(input_perms), tuple(output_perms), party_perm)
+    images.setflags(write=False)
+    return Relabeling._from_blocks(
+        scenario, tuple(input_perms), tuple(output_perms), party_perm, _images=images
+    )
 
 
-def _event_perms(
-    scenario: Scenario, relabelings: Sequence[Relabeling]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Permutations of the flat joint events x * num_outcomes + a and of the
-    single-party events (party, setting, outcome), one row per relabeling.
+def _joint_perms(scenario: Scenario, images: np.ndarray) -> np.ndarray:
+    """Permutations of the flat joint events x * num_outcomes + a, one row
+    per row of single-party event images.
 
     A flat joint index is a sum of per-party terms, x_i·input_stride_i·D +
-    a_i·outcome_stride_i with D = num_outcomes, so each party's local images,
-    placed at its slot's strides, are broadcast over the axes (x_0, …,
-    x_{N−1}, a_0, …, a_{N−1}) and summed.
+    a_i·outcome_stride_i with D = num_outcomes.  Indexed by the images, the
+    vector of these terms over the single-party events gives each image's
+    term at its own slot; each party's terms are broadcast over the axes
+    (x_0, …, x_{N−1}, a_0, …, a_{N−1}) and summed.
     """
-    count, d, n = len(relabelings), scenario.outcomes, scenario.parties
-    offsets = np.array(_marginal_offsets(scenario))
-    input_strides = np.array(scenario.input_strides) * scenario.num_outcomes
-    outcome_strides = np.array(scenario.outcome_strides)
-    flat, settings = itertools.chain.from_iterable, sum(scenario.settings)
-    slots = np.fromiter(
-        flat(g.party_perm or range(n) for g in relabelings), np.int64, count * n
-    ).reshape(count, n)
-    # every party's blocks side by side: columns run over (party, setting)
-    sigmas = np.fromiter(
-        flat(flat(g.input_perms) for g in relabelings), np.int64, count * settings
-    ).reshape(count, settings)
-    taus = np.fromiter(
-        flat(flat(flat(g.output_perms)) for g in relabelings), np.int64, count * settings * d
-    ).reshape(count, settings, d)
+    count, d, n = len(images), scenario.outcomes, scenario.parties
+    offsets = _marginal_offsets(scenario)
+    strides = zip(scenario.settings, scenario.input_strides, scenario.outcome_strides)
+    terms = np.concatenate(
+        [
+            np.add.outer(np.arange(m) * s * scenario.num_outcomes, np.arange(d) * t).ravel()
+            for m, s, t in strides
+        ]
+    )[images]
     joint = np.zeros((count,) + (1,) * (2 * n), dtype=np.int64)
-    marginal = []
     for i, m in enumerate(scenario.settings):
-        columns = slice(offsets[i] // d, offsets[i] // d + m)
-        images = _local_images(d, sigmas[:, columns], taus[:, columns])
-        slot = slots[:, i, None, None]
-        setting, outcome = np.divmod(images.reshape(count, m, d), d)
         axes = [count] + [1] * (2 * n)
         axes[1 + i], axes[1 + n + i] = m, d
-        term = setting * input_strides[slot] + outcome * outcome_strides[slot]
-        joint = joint + term.reshape(axes)
-        marginal.append(images + offsets[slots[:, i, None]])
-    events = scenario.num_inputs * scenario.num_outcomes
-    return joint.reshape(count, events), np.concatenate(marginal, axis=1)
+        joint = joint + terms[:, offsets[i] : offsets[i + 1]].reshape(axes)
+    return joint.reshape(count, scenario.num_inputs * scenario.num_outcomes)
 
 
-def _pushed(relabeling: Relabeling, table: np.ndarray) -> np.ndarray:
-    """A (num_inputs, num_outcomes) table with its entries moved along the relabeling."""
+def _pushed(relabeling: Relabeling, obj: Behavior | BellFunctional, what: str) -> np.ndarray:
+    """The table of a behavior or functional, entries moved along the relabeling."""
+    if relabeling.scenario != obj.scenario:
+        raise ScenarioMismatchError(f"relabeling and {what} scenarios differ")
     input_map, outcome_map = relabeling.event_maps
-    moved = np.empty_like(table)
-    moved[input_map[:, None], outcome_map] = table
+    moved = np.empty_like(obj.table)
+    moved[input_map[:, None], outcome_map] = obj.table
     return moved
 
 
 def apply_to_behavior(relabeling: Relabeling, behavior: Behavior) -> Behavior:
     """Push a behavior forward along a relabeling (table entries permuted)."""
-    if relabeling.scenario != behavior.scenario:
-        raise ScenarioMismatchError("relabeling and behavior scenarios differ")
-    return Behavior(behavior.scenario, _pushed(relabeling, behavior.table))
+    return Behavior(behavior.scenario, _pushed(relabeling, behavior, "behavior"))
 
 
 def pushforward_functional(
@@ -310,11 +313,9 @@ def pushforward_functional(
     Defined so that the transformed functional evaluated on any behavior
     equals the original evaluated on the inverse-transformed behavior.
     """
-    if relabeling.scenario != functional.scenario:
-        raise ScenarioMismatchError("relabeling and functional scenarios differ")
     return BellFunctional._from_table(
         functional.scenario,
-        _pushed(relabeling, functional.table),
+        _pushed(relabeling, functional, "functional"),
         functional.log2_den,
         orientation=functional.orientation,
         name=functional.name,
@@ -323,9 +324,7 @@ def pushforward_functional(
 
 def is_symmetry(relabeling: Relabeling, functional: BellFunctional) -> bool:
     """True iff the pushforward leaves the coefficient table exactly invariant."""
-    if relabeling.scenario != functional.scenario:
-        raise ScenarioMismatchError("relabeling and functional scenarios differ")
-    return bool(np.array_equal(_pushed(relabeling, functional.table), functional.table))
+    return bool(np.array_equal(_pushed(relabeling, functional, "functional"), functional.table))
 
 
 # --- exhaustive symmetry search -----------------------------------------------
@@ -534,10 +533,11 @@ def _orbit_closure(
     kept: list[Relabeling] = []
     for lo in range(0, len(generators), step):
         chunk = generators[lo : lo + step]
-        joint, marginal = _event_perms(sc, chunk)
+        images = _marginal_images(sc, chunk)
+        joint = _joint_perms(sc, images)
         if not (dense[joint] == dense).all():
             raise ValidationError("a supplied generator is not a symmetry of the functional")
-        perms = np.concatenate((joint, marginal + dense.size), axis=1)
+        perms = np.concatenate((joint, images + dense.size), axis=1)
         i = 0
         while i < len(perms):
             joins = np.flatnonzero((labels[perms[i:]] != labels).any(axis=1))
@@ -649,9 +649,13 @@ def certify_all(
     functional: BellFunctional, generators: Sequence[Relabeling]
 ) -> dict[JointQuery | LocalQuery, float]:
     """Certified bits for every joint input and every (party, setting)."""
-    sc = functional.scenario
-    cert = certify_uniform(functional, generators, JointQuery(sc.input_tuple(0)))
-    return {q: cert.certified_bits(q) for q in _queries(sc)}
+    cert = _certify_all_queries(functional, generators)
+    return {q: cert.certified_bits(q) for q in _queries(functional.scenario)}
+
+
+def _certify_all_queries(functional: BellFunctional, generators) -> UniformityCertificate:
+    """A certificate for every query: its orbits do not depend on the query."""
+    return certify_uniform(functional, generators, JointQuery(functional.scenario.input_tuple(0)))
 
 
 def orbit_equality_violation(

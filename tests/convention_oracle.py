@@ -1,9 +1,9 @@
 """The per-term loops that the shared table and relabeling helpers replaced.
 
 The tuple group law of ``Relabeling`` (``inverse``, ``@`` and
-``apply_to_strategy``), the per-key correlator conversions, the per-input
-``deterministic_behavior`` and the mask-based marginals are kept verbatim,
-as functions of the public objects.  ``tests/test_convention_oracles.py``
+``apply_to_strategy``) and its tuple ``is_identity``, the per-key
+correlator conversions, the per-input ``deterministic_behavior`` and the
+mask-based marginals are kept verbatim, as functions of the public objects.  ``tests/test_convention_oracles.py``
 compares the array code in ``bellcert.scenario`` and ``bellcert.symmetry``
 with them.
 """
@@ -23,6 +23,19 @@ from bellcert.scenario import NO_SIGNALING_TOL, NORMALIZATION_TOL, SignalingWarn
 
 def _slot(g: Relabeling, i: int) -> int:
     return i if g.party_perm is None else g.party_perm[i]
+
+
+def is_identity(g: Relabeling) -> bool:
+    sc = g.scenario
+    return (
+        g.party_perm is None
+        and all(p == tuple(range(sc.settings[i])) for i, p in enumerate(g.input_perms))
+        and all(
+            q == tuple(range(sc.outcomes))
+            for per_setting in g.output_perms
+            for q in per_setting
+        )
+    )
 
 
 def inverse(g: Relabeling) -> Relabeling:

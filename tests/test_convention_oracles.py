@@ -77,6 +77,32 @@ def test_group_law_from_event_images_matches_tuple_law(seed):
     assert repr(moved) == repr(oracle.apply_to_strategy(g, strategy))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_group_law_keeps_the_images_a_checked_relabeling_builds(seed):
+    """``inverse`` and ``@`` store their images on the result, read-only and
+    equal to those of a freshly checked ``Relabeling`` with the same fields;
+    ``is_identity`` read from the images equals the tuple definition."""
+    rng = np.random.default_rng(seed)
+    sc = random_scenario(rng)
+    g = random_relabeling_with_parties(sc, rng)
+    h = random_relabeling_with_parties(sc, rng)
+    for got in (g.inverse(), g @ h, g @ g.inverse(), g.inverse() @ g, h @ g @ h.inverse()):
+        assert "_images" in vars(got)  # stored by the group law, not rebuilt
+        fresh = Relabeling(sc, *fields(got))
+        for images in (got._images, fresh._images):
+            assert not images.flags.writeable
+        assert np.array_equal(got._images, fresh._images)
+        assert got._images.dtype == fresh._images.dtype
+    identity = identity_relabeling(sc)
+    spelled_out = Relabeling(
+        sc, identity.input_perms, identity.output_perms, tuple(range(sc.parties))
+    )
+    for r in (g, h, g.inverse(), g @ h, g @ g.inverse(), identity, spelled_out):
+        assert r.is_identity == oracle.is_identity(r)
+    assert (g @ g.inverse()).is_identity and identity.is_identity and spelled_out.is_identity
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.booleans())
 def test_correlators_match_per_key_loop(seed, signaling):

@@ -30,9 +30,16 @@ from bellcert import (
     search_space_size,
 )
 from bellcert.scenario import marginal
-from bellcert.symmetry import _event_perms, _join, _marginal_offsets, orbit_equality_violation
+from bellcert.symmetry import (
+    _join,
+    _joint_perms,
+    _marginal_images,
+    _marginal_offsets,
+    orbit_equality_violation,
+)
 
 from conftest import random_ns_behavior, random_relabeling
+from convention_oracle import _slot
 
 SCENARIOS = [
     Scenario((2, 2), 2),
@@ -112,7 +119,7 @@ def loop_event_maps(relabeling):
     input_map = np.zeros(sc.num_inputs, dtype=np.int64)
     outcome_map = np.zeros((sc.num_inputs, sc.num_outcomes), dtype=np.int64)
     for i in range(sc.parties):
-        slot = relabeling._slot(i)
+        slot = _slot(relabeling, i)
         sigma = np.asarray(relabeling.input_perms[i], dtype=np.int64)
         tau = np.asarray(relabeling.output_perms[i], dtype=np.int64)  # (M_i, d)
         image_setting = sigma[x_digits[:, i]]
@@ -135,7 +142,7 @@ def loop_marginal_event_perm(relabeling):
     offsets = _marginal_offsets(sc)
     perm = np.empty(offsets[-1], dtype=np.int64)
     for i in range(sc.parties):
-        slot = relabeling._slot(i)
+        slot = _slot(relabeling, i)
         for x in range(sc.settings[i]):
             y = relabeling.input_perms[i][x]
             for o in range(sc.outcomes):
@@ -377,12 +384,14 @@ def test_batched_event_perms_match_the_loops(scenario):
         if all(scenario.settings[i] == scenario.settings[j] for i, j in enumerate(pi)):
             g = random_relabeling(scenario, rng)
             gens.append(Relabeling(scenario, g.input_perms, g.output_perms, pi))
-    joint, marginal = _event_perms(scenario, gens)
+    marginal = _marginal_images(scenario, gens)
+    joint = _joint_perms(scenario, marginal)
     assert np.array_equal(joint, [loop_joint_event_perm(g) for g in gens])
     assert np.array_equal(marginal, [loop_marginal_event_perm(g) for g in gens])
     for g in gens:
         assert all(map(np.array_equal, g.event_maps, loop_event_maps(g)))
-    joint, marginal = _event_perms(scenario, [])
+    marginal = _marginal_images(scenario, [])
+    joint = _joint_perms(scenario, marginal)
     assert joint.shape == (0, scenario.num_inputs * scenario.num_outcomes)
     assert marginal.shape == (0, _marginal_offsets(scenario)[-1])
 
