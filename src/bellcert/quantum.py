@@ -156,6 +156,12 @@ def qubit_model(
     bloch_vectors: Sequence[Sequence[Sequence[float]]],
 ) -> QuantumModel:
     """Build a qubit model from Bloch vectors (one per party and setting)."""
+    bloch, measurements = _qubit_measurements(scenario, bloch_vectors)
+    return QuantumModel(scenario, np.asarray(state, complex), measurements, bloch=bloch)
+
+
+def _qubit_measurements(scenario: Scenario, bloch_vectors) -> tuple[tuple, tuple]:
+    """Checked Bloch vectors and their projectors, per party and setting."""
     if scenario.outcomes != 2:
         raise ValidationError("qubit models are two-outcome models")
     bloch = tuple(
@@ -165,7 +171,7 @@ def qubit_model(
     measurements = tuple(
         tuple(qubit_projectors(v) for v in per_party) for per_party in bloch
     )
-    return QuantumModel(scenario, np.asarray(state, complex), measurements, bloch=bloch)
+    return bloch, measurements
 
 
 def phase_measurement_model(
@@ -454,11 +460,9 @@ def qubit_model_from_functional(
 ) -> QuantumModel:
     """Model whose state is the extremal eigenvector for the given measurements."""
     sc = functional.scenario
-    stacks = [_qubit_stacks(np.asarray(b, dtype=float)[None]) for b in bloch]
-    op = _bell_operators(_paired(sc, functional.float_table), stacks)[0]
-    vals, vecs = np.linalg.eigh(op)
+    bloch, measurements = _qubit_measurements(sc, bloch)
+    vals, vecs = np.linalg.eigh(bell_operator(functional, measurements))
     idx = -1 if functional.orientation == "max" else 0
-    measurements = [tuple(s[0].reshape(-1, 2, 2, 2)) for s in stacks]
     return QuantumModel(sc, vecs[:, idx], measurements, bloch=bloch)
 
 

@@ -107,17 +107,16 @@ class Relabeling:
         object.__setattr__(self, "party_perm", party_perm)
 
     @classmethod
-    def _from_blocks(cls, scenario, input_perms, output_perms, party_perm, **cached):
+    def _from_blocks(cls, scenario, input_perms, output_perms, party_perm):
         """A relabeling from blocks that are valid by construction: tuples of
         ints, and a party permutation already normalised (``None`` for the
-        identity); ``cached`` presets cached properties.  Skips the checks."""
+        identity).  Skips the checks of ``__post_init__``."""
         relabeling = cls.__new__(cls)
         relabeling.__dict__.update(
             scenario=scenario,
             input_perms=input_perms,
             output_perms=output_perms,
             party_perm=party_perm,
-            **cached,
         )
         return relabeling
 
@@ -257,10 +256,12 @@ def _from_local(scenario: Scenario, images: np.ndarray) -> Relabeling:
         input_perms.append(tuple(sigma.tolist()))
         output_perms.append(tuple(map(tuple, tau.tolist())))
     party_perm = None if slots == list(range(scenario.parties)) else tuple(slots)
-    images.setflags(write=False)
-    return Relabeling._from_blocks(
-        scenario, tuple(input_perms), tuple(output_perms), party_perm, _images=images
+    relabeling = Relabeling._from_blocks(
+        scenario, tuple(input_perms), tuple(output_perms), party_perm
     )
+    images.setflags(write=False)
+    relabeling.__dict__["_images"] = images  # preset the cached property
+    return relabeling
 
 
 def _joint_perms(scenario: Scenario, images: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from bellcert import (
     qubit_projectors,
     tilted_chsh,
 )
-from bellcert.quantum import QuantumModel
+from bellcert.quantum import QuantumModel, qubit_model_from_functional
 
 from conftest import canonical_chsh_model
 
@@ -57,6 +57,18 @@ class TestModelValidation:
         p = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(ValidationError, match="identity|orthogonal"):
             QuantumModel(sc, np.array([1.0, 0.0]), ((np.stack([p, p]),),))
+
+    def test_model_from_functional_keeps_the_qubit_model_checks(self):
+        # the same checked path as qubit_model: no bare numpy error
+        x, z = [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]
+        with pytest.raises(ValidationError, match="two-outcome"):
+            qubit_model_from_functional(chained_modular(2, 3), [[x, z], [x, z]])
+        with pytest.raises(ValidationError, match="unit length"):
+            qubit_model_from_functional(chsh(), [[x, [0.0, 0.0, 0.5]], [x, z]])
+        with pytest.raises(ValidationError, match="three components"):
+            qubit_model_from_functional(chsh(), [[x, z[:2]], [x, z]])
+        with pytest.raises(ScenarioMismatchError, match="measurements"):
+            qubit_model_from_functional(chsh(), [[x], [x, z]])
 
     def test_dimension_mismatch(self):
         sc = Scenario((1, 1), 2)
