@@ -156,22 +156,15 @@ def qubit_model(
     bloch_vectors: Sequence[Sequence[Sequence[float]]],
 ) -> QuantumModel:
     """Build a qubit model from Bloch vectors (one per party and setting)."""
-    bloch, measurements = _qubit_measurements(scenario, bloch_vectors)
-    return QuantumModel(scenario, np.asarray(state, complex), measurements, bloch=bloch)
+    measurements = _qubit_measurements(scenario, bloch_vectors)
+    return QuantumModel(scenario, np.asarray(state, complex), measurements, bloch=bloch_vectors)
 
 
-def _qubit_measurements(scenario: Scenario, bloch_vectors) -> tuple[tuple, tuple]:
-    """Checked Bloch vectors and their projectors, per party and setting."""
+def _qubit_measurements(scenario: Scenario, bloch_vectors) -> tuple:
+    """Projectors of checked Bloch vectors, per party and setting."""
     if scenario.outcomes != 2:
         raise ValidationError("qubit models are two-outcome models")
-    bloch = tuple(
-        tuple(np.asarray(v, dtype=float) for v in per_party)
-        for per_party in bloch_vectors
-    )
-    measurements = tuple(
-        tuple(qubit_projectors(v) for v in per_party) for per_party in bloch
-    )
-    return bloch, measurements
+    return tuple(tuple(qubit_projectors(v) for v in per_party) for per_party in bloch_vectors)
 
 
 def phase_measurement_model(
@@ -460,7 +453,7 @@ def qubit_model_from_functional(
 ) -> QuantumModel:
     """Model whose state is the extremal eigenvector for the given measurements."""
     sc = functional.scenario
-    bloch, measurements = _qubit_measurements(sc, bloch)
+    measurements = _qubit_measurements(sc, bloch)
     vals, vecs = np.linalg.eigh(bell_operator(functional, measurements))
     idx = -1 if functional.orientation == "max" else 0
     return QuantumModel(sc, vecs[:, idx], measurements, bloch=bloch)
