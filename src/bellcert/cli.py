@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .functionals import (
+    DEFAULT_STRATEGY_CAP,
     BellFunctional,
     CapExceededError,
     chained_correlator,
@@ -55,6 +56,7 @@ from .scenario import (
     behavior_to_dict,
 )
 from .symmetry import (
+    DEFAULT_SEARCH_CAP,
     SearchCapExceededError,
     _certify_all_queries,
     find_symmetries,
@@ -532,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("local-bound", help="exact bound over deterministic strategies")
     _add_functional_options(p)
-    p.add_argument("--cap", type=int, default=10**7)
+    p.add_argument("--cap", type=int, default=DEFAULT_STRATEGY_CAP)
     p.add_argument("--list-maximizers", action="store_true")
     p.set_defaults(func=_cmd_local_bound)
 
@@ -545,13 +547,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("symmetries", help="exhaustive relabeling-symmetry search")
     _add_functional_options(p)
-    p.add_argument("--cap", type=int, default=10**8)
+    p.add_argument("--cap", type=int, default=DEFAULT_SEARCH_CAP)
     p.add_argument("--party-perms", action="store_true")
     p.set_defaults(func=_cmd_symmetries)
 
     p = sub.add_parser("certify", help="orbit-based uniformity certification")
     _add_functional_options(p)
-    p.add_argument("--cap", type=int, default=10**8)
+    p.add_argument("--cap", type=int, default=DEFAULT_SEARCH_CAP)
     p.add_argument("--party-perms", action="store_true")
     p.add_argument("--query", help="joint:<x1>,..,<xN> or local:<party>,<setting> (1-based)")
     p.set_defaults(func=_cmd_certify)

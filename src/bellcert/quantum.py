@@ -21,9 +21,9 @@ batch with one batched eigendecomposition per step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -71,83 +71,77 @@ class QuantumModel:
     setting ``x`` along the first axis.  Local dimensions are read off the
     projector shapes; their product must match the state length.
     ``bloch[i][x]``, when present, records the Bloch vector a qubit
-    measurement was built from.
+    measurement was built from.  State and projectors are read-only copies;
+    ``measurements[i][x]`` are views of one projector stack per party.
     """
 
     scenario: Scenario
     state: np.ndarray
     measurements: tuple[tuple[np.ndarray, ...], ...]
     bloch: tuple[tuple[np.ndarray, ...], ...] | None = None
+    _stacks: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         sc = self.scenario
-        state = np.asarray(self.state, dtype=complex).reshape(-1)
+        state = np.array(self.state, dtype=complex).reshape(-1)
         norm = float(np.linalg.norm(state))
         if abs(norm - 1.0) > STATE_NORM_TOL:
             raise ValidationError(f"state norm {norm!r} is not 1")
-        if len(self.measurements) != sc.parties:
-            raise ValidationError("need one measurement list per party")
-        dims = []
-        meas: list[tuple[np.ndarray, ...]] = []
-        for i, per_setting in enumerate(self.measurements):
-            if len(per_setting) != sc.settings[i]:
-                raise ValidationError(f"party {i} needs {sc.settings[i]} measurements")
-            stacks = []
-            dim = None
-            for x, stack in enumerate(per_setting):
-                arr = np.asarray(stack, dtype=complex)
-                if arr.ndim != 3 or arr.shape[0] != sc.outcomes or arr.shape[1] != arr.shape[2]:
-                    raise ValidationError(
-                        f"measurement of party {i}, setting {x} must stack "
-                        f"{sc.outcomes} square projectors"
-                    )
-                if dim is None:
-                    dim = arr.shape[1]
-                elif arr.shape[1] != dim:
-                    raise ValidationError(f"party {i} has inconsistent local dimensions")
-                _check_projective(arr, i, x)
-                arr = arr.copy()
-                arr.setflags(write=False)
-                stacks.append(arr)
-            dims.append(dim)
-            meas.append(tuple(stacks))
+        try:
+            stacks = _party_stacks(sc, self.measurements)
+        except ScenarioMismatchError as exc:
+            raise ValidationError(str(exc)) from exc
+        meas = []
+        for i, stack in enumerate(stacks):
+            stack.setflags(write=False)  # first, so that every view is read-only
+            per_setting = stack.reshape(sc.settings[i], sc.outcomes, *stack.shape[2:])
+            _check_projective(per_setting, i)
+            meas.append(tuple(per_setting))
+        object.__setattr__(self, "_stacks", tuple(stacks))
+        dims = list(self.local_dims)
         if math.prod(dims) != state.size:
             raise ValidationError(
                 f"state dimension {state.size} != product of local dimensions {dims}"
             )
-        state = state.copy()
         state.setflags(write=False)
         object.__setattr__(self, "state", state)
         object.__setattr__(self, "measurements", tuple(meas))
         if self.bloch is not None:
-            frozen = tuple(
-                tuple(np.asarray(v, dtype=float) for v in per_party)
-                for per_party in self.bloch
-            )
+            frozen = tuple(tuple(np.asarray(v, dtype=float) for v in p) for p in self.bloch)
             object.__setattr__(self, "bloch", frozen)
 
     @cached_property
     def local_dims(self) -> tuple[int, ...]:
-        return tuple(per_setting[0].shape[1] for per_setting in self.measurements)
+        return tuple(stack.shape[-1] for stack in self._stacks)
 
 
-def _check_projective(stack: np.ndarray, party: int, setting: int) -> None:
-    d, dim, _ = stack.shape
-    label = f"party {party}, setting {setting}"
-    total = np.zeros((dim, dim), dtype=complex)
-    for k in range(d):
-        p = stack[k]
-        if np.abs(p - p.conj().T).max() > PROJECTOR_TOL:
-            raise ValidationError(f"projector {k} of {label} is not Hermitian")
-        if np.abs(p @ p - p).max() > PROJECTOR_TOL:
-            raise ValidationError(f"projector {k} of {label} is not idempotent")
-        total += p
-    for j in range(d):
-        for k in range(j + 1, d):
-            if np.abs(stack[j] @ stack[k]).max() > PROJECTOR_TOL:
-                raise ValidationError(f"projectors {j},{k} of {label} are not orthogonal")
-    if np.abs(total - np.eye(dim)).max() > PROJECTOR_TOL:
-        raise ValidationError(f"projectors of {label} do not sum to identity")
+def _check_projective(stack: np.ndarray, party: int) -> None:
+    """Raise on the first non-projective measurement in a party's (M, d, D, D) stack:
+    settings in order; within one, projector k Hermitian then idempotent for
+    each k, then each pair j < k orthogonal, then the sum the identity."""
+    settings, d, dim, _ = stack.shape
+    j, k = np.triu_indices(d, 1)
+
+    def off(diff: np.ndarray) -> np.ndarray:
+        return np.abs(diff).max(axis=(-2, -1)) > PROJECTOR_TOL
+
+    hermitian = off(stack - stack.conj().swapaxes(-2, -1))
+    idempotent = off(stack @ stack - stack)
+    pairs = off(stack[:, j] @ stack[:, k])
+    total = off(stack.sum(axis=1) - np.eye(dim))[:, None]
+    # one row per setting, its faults in the order they are reported
+    faults = np.hstack([np.stack([hermitian, idempotent], -1).reshape(settings, -1), pairs, total])
+    if not faults.any():
+        return
+    x, n = np.argwhere(faults)[0]
+    label = f"party {party}, setting {x}"
+    if n < 2 * d:
+        kind = ("Hermitian", "idempotent")[n % 2]
+        raise ValidationError(f"projector {n // 2} of {label} is not {kind}")
+    if n < 2 * d + j.size:
+        n -= 2 * d
+        raise ValidationError(f"projectors {j[n]},{k[n]} of {label} are not orthogonal")
+    raise ValidationError(f"projectors of {label} do not sum to identity")
 
 
 def qubit_model(
@@ -187,20 +181,13 @@ def phase_measurement_model(
     k = np.arange(d)
     state = np.zeros(d * d, dtype=complex)
     state[k * d + k] = 1 / math.sqrt(d)
-
-    def basis(phase: float, conj: bool) -> np.ndarray:
-        stacks = []
-        for a in range(d):
-            v = np.exp(2j * np.pi * k * (a + phase) / d) / math.sqrt(d)
-            if conj:
-                v = v.conj()
-            stacks.append(np.outer(v, v.conj()))
-        return np.stack(stacks)
-
-    measurements = (
-        tuple(basis(p, conj=False) for p in alice_phases),
-        tuple(basis(p, conj=True) for p in bob_phases),
-    )
+    # shift[i, x, a, 0] = a + phase of party i's setting x
+    phases = np.array([alice_phases, bob_phases], dtype=float)
+    shift = k[:, None] + phases[..., None, None]
+    vecs = np.exp(2j * np.pi * k * shift / d) / math.sqrt(d)
+    vecs[1] = vecs[1].conj()
+    projectors = vecs[..., :, None] * vecs[..., None, :].conj()
+    measurements = (tuple(projectors[0]), tuple(projectors[1]))
     return QuantumModel(scenario, state, measurements)
 
 
@@ -218,17 +205,24 @@ def _contract(t: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
 def _party_stacks(
     sc: Scenario, measurements: Sequence[Sequence[np.ndarray]]
 ) -> list[np.ndarray]:
-    """Each party's projectors as one (1, settings * outcomes, D, D) array."""
+    """Each party's projectors as one (1, settings * outcomes, D, D) array: the one
+    structural check of a measurement list, raising ScenarioMismatchError."""
     if len(measurements) != sc.parties:
         raise ScenarioMismatchError("need one measurement list per party")
     stacks = []
     for i, per_setting in enumerate(measurements):
         if len(per_setting) != sc.settings[i]:
             raise ScenarioMismatchError(f"party {i} needs {sc.settings[i]} measurements")
-        blocks = [np.asarray(stack, dtype=complex) for stack in per_setting]
+        blocks = []
+        for x, stack in enumerate(per_setting):
+            try:
+                blocks.append(np.asarray(stack, dtype=complex))
+            except (TypeError, ValueError) as exc:
+                msg = f"measurement of party {i}, setting {x} is not an array of numbers"
+                raise ScenarioMismatchError(msg) from exc
         shape = (sc.outcomes,) + blocks[0].shape[-1:] * 2
         for x, block in enumerate(blocks):
-            if block.shape != shape:
+            if block.shape != shape or not block.size:
                 raise ScenarioMismatchError(
                     f"measurement of party {i}, setting {x} has shape {block.shape}, "
                     f"not {sc.outcomes} square projectors of the party's dimension"
@@ -288,7 +282,7 @@ def behavior_from_model(model: QuantumModel) -> Behavior:
     """Born-rule behavior of a model."""
     sc = model.scenario
     rho = _density(model.state.reshape(1, -1), model.local_dims)
-    probs = _traced(rho, _party_stacks(sc, model.measurements)).real
+    probs = _traced(rho, model._stacks).real
     return Behavior(sc, _unpaired(sc, probs))
 
 
@@ -498,20 +492,23 @@ def model_to_dict(model: QuantumModel) -> dict:
     return out
 
 
-def model_from_dict(data: dict) -> QuantumModel:
-    scenario = Scenario(tuple(data["settings"]), data["outcomes"])
-    meas = data["measurements"]
-    if meas["kind"] == "bloch":
-        dim = 2**scenario.parties
-        state = _pairs_to_complex(data["state_re_im"], (dim,))
-        return qubit_model(scenario, state, meas["vectors"])
-    dims = tuple(meas["local_dims"])
-    state = _pairs_to_complex(data["state_re_im"], (math.prod(dims),))
-    blocks = tuple(
-        tuple(
-            _pairs_to_complex(pairs, (scenario.outcomes, dims[i], dims[i]))
-            for pairs in per_party
-        )
-        for i, per_party in enumerate(meas["blocks"])
-    )
-    return QuantumModel(scenario, state, blocks)
+def model_from_dict(data: Mapping) -> QuantumModel:
+    try:
+        scenario = Scenario(tuple(data["settings"]), data["outcomes"])
+        meas = data["measurements"]
+        if meas["kind"] == "bloch":
+            state = _pairs_to_complex(data["state_re_im"], (2**scenario.parties,))
+            return qubit_model(scenario, state, meas["vectors"])
+        if meas["kind"] != "projectors":
+            raise ValidationError(f"malformed model: unknown kind {meas['kind']!r}")
+        dims = tuple(meas["local_dims"])
+        state = _pairs_to_complex(data["state_re_im"], (math.prod(dims),))
+        blocks = [
+            [_pairs_to_complex(pairs, (scenario.outcomes, dim, dim)) for pairs in per_party]
+            for dim, per_party in zip(dims, meas["blocks"], strict=True)
+        ]
+        return QuantumModel(scenario, state, blocks)
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed model: {exc!r}") from exc

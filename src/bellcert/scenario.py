@@ -541,20 +541,25 @@ def behavior_to_dict(behavior: Behavior) -> dict:
 
 
 def behavior_from_dict(data: Mapping) -> Behavior:
-    scenario = Scenario(tuple(data["settings"]), data["outcomes"])
-    if data.get("parties") not in (None, scenario.parties):
-        raise ValidationError("party count does not match the settings list")
-    table = np.zeros((scenario.num_inputs, scenario.num_outcomes))
-    entries = data["table"]
-    if len(entries) != scenario.num_inputs:
-        raise ValidationError(
-            f"table has {len(entries)} inputs, scenario needs {scenario.num_inputs}"
-        )
-    for key, row in entries.items():
-        if not key.startswith("x="):
-            raise ValidationError(f"bad table key {key!r}")
-        x = tuple(int(tok) for tok in key[2:].split(","))
-        if len(row) != scenario.num_outcomes:
-            raise ValidationError(f"row {key!r} has {len(row)} entries")
-        table[scenario.input_index(x)] = row
+    try:
+        scenario = Scenario(tuple(data["settings"]), data["outcomes"])
+        if data.get("parties") not in (None, scenario.parties):
+            raise ValidationError("party count does not match the settings list")
+        table = np.zeros((scenario.num_inputs, scenario.num_outcomes))
+        entries = data["table"]
+        if len(entries) != scenario.num_inputs:
+            raise ValidationError(
+                f"table has {len(entries)} inputs, scenario needs {scenario.num_inputs}"
+            )
+        for key, row in entries.items():
+            if not key.startswith("x="):
+                raise ValidationError(f"bad table key {key!r}")
+            x = tuple(int(tok) for tok in key[2:].split(","))
+            if len(row) != scenario.num_outcomes:
+                raise ValidationError(f"row {key!r} has {len(row)} entries")
+            table[scenario.input_index(x)] = row
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed behavior: {exc!r}") from exc
     return Behavior(scenario, table)
