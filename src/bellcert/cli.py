@@ -71,7 +71,7 @@ class UsageError(Exception):
 
 
 def _check_numeric_options(args: argparse.Namespace) -> None:
-    for name, minimum in (("restarts", 1), ("max_iters", 1), ("cap", 1)):
+    for name, minimum in (("restarts", 1), ("max_iters", 1), ("cap", 1), ("seed", 0)):
         value = getattr(args, name, None)
         if value is not None and value < minimum:
             raise UsageError(f"--{name.replace('_', '-')} must be at least {minimum}")
@@ -81,7 +81,6 @@ def _check_numeric_options(args: argparse.Namespace) -> None:
 
 
 def _build_functional(args: argparse.Namespace) -> BellFunctional:
-    _check_numeric_options(args)
     if args.file and args.functional:
         raise UsageError("give either --functional or --file, not both")
     if args.file:
@@ -593,6 +592,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)
     try:
+        _check_numeric_options(args)
         document = args.func(args)
     except UsageError as exc:
         _emit_error("usage", str(exc))

@@ -18,7 +18,6 @@ change of basis, each by an exact integer Walsh-Hadamard transform.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -33,8 +32,11 @@ from .scenario import (
     ScenarioMismatchError,
     ValidationError,
     _correlator_place,
+    _integer,
     _paired,
+    _reading,
     _strategy_outcomes,
+    _subset_assignment,
     _subset_sums,
     _walsh_hadamard,
 )
@@ -226,13 +228,7 @@ def from_correlator_terms(
         weight = _as_dyadic(weight)
         if weight == 0:
             continue
-        parties, assignment = tuple(parties), tuple(assignment)
-        if list(parties) != sorted(set(parties)):
-            raise ValidationError(f"party subset {parties} must be strictly increasing")
-        if len(assignment) != len(parties) or not all(
-            0 <= i < n and 0 <= s < scenario.settings[i] for i, s in zip(parties, assignment)
-        ):
-            raise ValidationError(f"settings {assignment} do not fit party subset {parties}")
+        parties, assignment = _subset_assignment(scenario, parties, assignment)
         n_ext = math.prod(scenario.settings[i] for i in range(n) if i not in parties)
         share = weight / n_ext  # must stay dyadic
         if share.denominator & (share.denominator - 1):
@@ -312,10 +308,7 @@ def chained_modular(m: int, d: int) -> BellFunctional:
     convention that the outcome of A_1 is shifted by one in the last term.
     Oriented to minimize; local strategies cannot go below d - 1.
     """
-    if m < 2:
-        raise ValidationError("chained inequality needs at least two settings")
-    if d < 2:
-        raise ValidationError("chained inequality needs at least two outcomes")
+    m, d = _integer(m, "m", 2), _integer(d, "d", 2)
     scenario = Scenario((m, m), d)
     a = np.arange(d)[:, None]
     b = np.arange(d)[None, :]
@@ -337,8 +330,7 @@ def chained_correlator(m: int) -> BellFunctional:
     maximize (the one-sided convention; the opposite sign is reachable by a
     relabeling).
     """
-    if m < 2:
-        raise ValidationError("chained inequality needs at least two settings")
+    m = _integer(m, "m", 2)
     weights = np.eye(m, dtype=np.int64) + np.eye(m, k=-1, dtype=np.int64)
     weights[0, m - 1] = -1
     return _full_correlators(weights, 0, f"chained-correlator({m})")
@@ -351,8 +343,7 @@ def mermin(n: int) -> BellFunctional:
     previous functional and its setting-swapped twin against the new party's
     two observables.
     """
-    if n < 2:
-        raise ValidationError("the Mermin family starts at two parties")
+    n = _integer(n, "n", 2)
     weights = np.array([[1, 1], [1, -1]])  # in units of 2**-(parties - 2)
     for _ in range(3, n + 1):
         twin = np.flip(weights)  # every party's two settings swapped
@@ -403,14 +394,6 @@ class LocalBoundReport:
 
 # elements of the largest array one contraction step builds at a time
 _BLOCK_ELEMENTS = 1 << 16
-
-
-def _count_argument(value, what: str) -> int:
-    """``value`` as a non-negative int; bools and non-integers are rejected."""
-    integral = hasattr(type(value), "__index__") and not isinstance(value, bool)
-    if not integral or operator.index(value) < 0:
-        raise ValidationError(f"{what} must be a non-negative integer, got {value!r}")
-    return operator.index(value)
 
 
 def _strategy_sums(V: np.ndarray, W: np.ndarray, x: int = 0):
@@ -510,8 +493,8 @@ def local_bound(
     enumeration order: party 0 most significant, and within a party the
     outcome for setting x is the base-d digit at position M_i - 1 - x.
     """
-    cap = _count_argument(cap, "cap")
-    max_listed = _count_argument(max_listed, "max_listed")
+    cap = _integer(cap, "cap", 0)
+    max_listed = _integer(max_listed, "max_listed", 0)
     scenario = functional.scenario
     d, settings = scenario.outcomes, scenario.settings
     total = math.prod(d**m for m in settings)
@@ -575,9 +558,10 @@ def functional_to_dict(functional: BellFunctional) -> dict:
 
 
 def functional_from_dict(data: Mapping) -> BellFunctional:
-    try:
+    with _reading("functional"):
         scenario = Scenario(tuple(data["settings"]), data["outcomes"])
-        if data.get("parties") not in (None, scenario.parties):
+        parties = data.get("parties")
+        if parties is not None and _integer(parties, "parties") != scenario.parties:
             raise ValidationError("party count does not match the settings list")
         terms = data["terms"]
         xs = _index_rows([term["x"] for term in terms], scenario.settings, "term's 'x'")
@@ -588,14 +572,8 @@ def functional_from_dict(data: Mapping) -> BellFunctional:
             xs @ np.array(scenario.input_strides) * scenario.num_outcomes
             + as_ @ np.array(scenario.outcome_strides)
         )
-        nums = [operator.index(term["c_num"]) for term in terms]
-        exps = [operator.index(term["c_log2_den"]) for term in terms]
-        if min(exps, default=0) < 0:
-            raise ValidationError("c_log2_den must not be negative")
-    except ValidationError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed functional: {exc!r}") from exc
+        nums = [_integer(term["c_num"], "c_num") for term in terms]
+        exps = [_integer(term["c_log2_den"], "c_log2_den", 0) for term in terms]
     return BellFunctional._from_table(
         scenario,
         *_sum_terms(scenario, events, nums, exps),

@@ -33,8 +33,10 @@ from .scenario import (
     Scenario,
     ScenarioMismatchError,
     ValidationError,
+    _integer,
     _pair_axes,
     _paired,
+    _reading,
     _unpaired,
 )
 
@@ -58,7 +60,7 @@ def qubit_projectors(bloch: Sequence[float]) -> np.ndarray:
     if n.shape != (3,):
         raise ValidationError("a Bloch vector has three components")
     norm = float(np.linalg.norm(n))
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= 1e-9:
         raise ValidationError(f"Bloch vector must be unit length, got norm {norm}")
     return _qubit_stacks(n[None, None])[0]
 
@@ -85,7 +87,7 @@ class QuantumModel:
         sc = self.scenario
         state = np.array(self.state, dtype=complex).reshape(-1)
         norm = float(np.linalg.norm(state))
-        if abs(norm - 1.0) > STATE_NORM_TOL:
+        if not abs(norm - 1.0) <= STATE_NORM_TOL:
             raise ValidationError(f"state norm {norm!r} is not 1")
         try:
             stacks = _party_stacks(sc, self.measurements)
@@ -107,7 +109,9 @@ class QuantumModel:
         object.__setattr__(self, "state", state)
         object.__setattr__(self, "measurements", tuple(meas))
         if self.bloch is not None:
-            frozen = tuple(tuple(np.asarray(v, dtype=float) for v in p) for p in self.bloch)
+            frozen = tuple(tuple(np.array(v, dtype=float) for v in p) for p in self.bloch)
+            for v in (v for per_party in frozen for v in per_party):
+                v.setflags(write=False)
             object.__setattr__(self, "bloch", frozen)
 
     @cached_property
@@ -122,8 +126,8 @@ def _check_projective(stack: np.ndarray, party: int) -> None:
     settings, d, dim, _ = stack.shape
     j, k = np.triu_indices(d, 1)
 
-    def off(diff: np.ndarray) -> np.ndarray:
-        return np.abs(diff).max(axis=(-2, -1)) > PROJECTOR_TOL
+    def off(diff: np.ndarray) -> np.ndarray:  # NaN is off too
+        return ~(np.abs(diff).max(axis=(-2, -1)) <= PROJECTOR_TOL)
 
     hermitian = off(stack - stack.conj().swapaxes(-2, -1))
     idempotent = off(stack @ stack - stack)
@@ -417,10 +421,8 @@ def optimize_violation(
     dim = 2**sc.parties
     if dim > MAX_QUBIT_DIMENSION:
         raise ValidationError(f"total dimension {dim} exceeds {MAX_QUBIT_DIMENSION}")
-    if restarts < 1:
-        raise ValidationError(f"restarts must be at least 1, got {restarts}")
-    if max_iters < 1:
-        raise ValidationError(f"max_iters must be at least 1, got {max_iters}")
+    restarts, max_iters = _integer(restarts, "restarts", 1), _integer(max_iters, "max_iters", 1)
+    seed = _integer(seed, "seed", 0)
     if not tol > 0:
         raise ValidationError(f"tol must be positive, got {tol}")
 
@@ -493,7 +495,7 @@ def model_to_dict(model: QuantumModel) -> dict:
 
 
 def model_from_dict(data: Mapping) -> QuantumModel:
-    try:
+    with _reading("model"):
         scenario = Scenario(tuple(data["settings"]), data["outcomes"])
         meas = data["measurements"]
         if meas["kind"] == "bloch":
@@ -508,7 +510,3 @@ def model_from_dict(data: Mapping) -> QuantumModel:
             for dim, per_party in zip(dims, meas["blocks"], strict=True)
         ]
         return QuantumModel(scenario, state, blocks)
-    except ValidationError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed model: {exc!r}") from exc

@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
@@ -49,6 +51,26 @@ class SignalingWarning(UserWarning):
     """A marginal was requested from a behavior that signals across parties."""
 
 
+class _NotAnInteger(ValidationError):
+    """A count or index that is not an integer; in a document, a malformed entry."""
+
+
+def _integer(value, what: str, low: int | None = None, high: int | None = None) -> int:
+    """``value`` as an int in ``low <= value < high`` (no bound where None), else
+    raise ValidationError naming ``what`` and the value.  Anything with
+    ``__index__`` but a bool is an integer: numpy integers are, floats are not."""
+    integral = type(value) is int or (
+        hasattr(type(value), "__index__") and not isinstance(value, bool)
+    )
+    if integral:
+        value = value if type(value) is int else operator.index(value)
+        if (low is None or value >= low) and (high is None or value < high):
+            return value
+    span = "" if low is None else f" >= {low}" if high is None else f" in {low}..{high - 1}"
+    error = ValidationError if integral else _NotAnInteger
+    raise error(f"{what} must be an integer{span}, got {value!r}")
+
+
 def outcome_sign(index: int) -> int:
     """Physical +-1 label of a two-outcome index (0 -> +1, 1 -> -1)."""
     return 1 - 2 * index
@@ -68,14 +90,11 @@ class Scenario:
     outcomes: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "settings", tuple(int(m) for m in self.settings))
-        object.__setattr__(self, "outcomes", int(self.outcomes))
+        settings = tuple(_integer(m, "setting count", 1) for m in self.settings)
+        object.__setattr__(self, "settings", settings)
+        object.__setattr__(self, "outcomes", _integer(self.outcomes, "outcomes", 2))
         if len(self.settings) < 1:
             raise ValidationError("scenario needs at least one party")
-        if any(m < 1 for m in self.settings):
-            raise ValidationError("every party needs at least one setting")
-        if self.outcomes < 2:
-            raise ValidationError("scenario needs at least two outcomes")
 
     @property
     def parties(self) -> int:
@@ -104,14 +123,11 @@ class Scenario:
             raise ValidationError(f"joint input needs {self.parties} entries, got {len(x)}")
         idx = 0
         for i, (xi, mi) in enumerate(zip(x, self.settings)):
-            if not 0 <= xi < mi:
-                raise ValidationError(f"setting {xi} out of range for party {i}")
-            idx += xi * self.input_strides[i]
+            idx += _integer(xi, f"setting of party {i}", 0, mi) * self.input_strides[i]
         return idx
 
     def input_tuple(self, index: int) -> tuple[int, ...]:
-        if not 0 <= index < self.num_inputs:
-            raise ValidationError(f"joint input index {index} out of range")
+        index = _integer(index, "joint input index", 0, self.num_inputs)
         return tuple(
             (index // s) % m for s, m in zip(self.input_strides, self.settings)
         )
@@ -120,15 +136,12 @@ class Scenario:
         if len(a) != self.parties:
             raise ValidationError(f"joint outcome needs {self.parties} entries, got {len(a)}")
         idx = 0
-        for i, ai in enumerate(a):
-            if not 0 <= ai < self.outcomes:
-                raise ValidationError(f"outcome {ai} out of range for party {i}")
-            idx += ai * self.outcome_strides[i]
+        for i, (ai, stride) in enumerate(zip(a, self.outcome_strides)):
+            idx += _integer(ai, f"outcome of party {i}", 0, self.outcomes) * stride
         return idx
 
     def outcome_tuple(self, index: int) -> tuple[int, ...]:
-        if not 0 <= index < self.num_outcomes:
-            raise ValidationError(f"joint outcome index {index} out of range")
+        index = _integer(index, "joint outcome index", 0, self.num_outcomes)
         return tuple((index // s) % self.outcomes for s in self.outcome_strides)
 
     @cached_property
@@ -234,7 +247,8 @@ class JointQuery:
     settings: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "settings", tuple(int(s) for s in self.settings))
+        settings = tuple(_integer(s, "setting", 0) for s in self.settings)
+        object.__setattr__(self, "settings", settings)
 
 
 @dataclass(frozen=True)
@@ -284,8 +298,8 @@ class Behavior:
         if low < -NORMALIZATION_TOL:
             x, a = np.unravel_index(int(arr.argmin()), arr.shape)
             raise ValidationError(
-                f"negative probability {low:.3e} at input {self.scenario.input_tuple(int(x))}, "
-                f"outcome {self.scenario.outcome_tuple(int(a))}"
+                f"negative probability {low:.3e} at input {self.scenario.input_tuple(x)}, "
+                f"outcome {self.scenario.outcome_tuple(a)}"
             )
         if high > 1 + NORMALIZATION_TOL:
             raise ValidationError(f"probability {high} exceeds 1")
@@ -304,8 +318,9 @@ class Behavior:
         return float(self.table[self.scenario.input_index(x), self.scenario.outcome_index(a)])
 
     def row(self, x: Sequence[int] | int) -> np.ndarray:
-        idx = x if isinstance(x, int) else self.scenario.input_index(x)
-        return self.table[idx]
+        if hasattr(x, "__len__"):
+            x = self.scenario.input_index(x)
+        return self.table[_integer(x, "joint input index", 0, self.scenario.num_inputs)]
 
 
 def behavior_from_table(scenario: Scenario, table) -> Behavior:
@@ -446,7 +461,7 @@ def behavior_from_correlators(form: CorrelatorForm) -> Behavior:
         x, a = np.unravel_index(int(table.argmin()), table.shape)
         raise ValidationError(
             f"correlators give negative probability {low:.6e} for outcome "
-            f"{scenario.outcome_tuple(int(a))} at input {scenario.input_tuple(int(x))}"
+            f"{scenario.outcome_tuple(a)} at input {scenario.input_tuple(x)}"
         )
     return Behavior(scenario, table)
 
@@ -462,6 +477,20 @@ def _subset_rows(behavior: Behavior, parties: tuple[int, ...]) -> np.ndarray:
     summed = shaped.sum(axis=tuple(1 + i for i in others))
     summed = summed.reshape(scenario.settings + (-1,)).transpose([*parties, *others, n])
     return summed.reshape(summed.shape[: len(parties)] + (-1, summed.shape[-1]))
+
+
+def _subset_assignment(scenario: Scenario, parties, settings) -> tuple[tuple, tuple]:
+    """A strictly increasing party subset and one setting for each of its
+    parties, read and range-checked."""
+    parties = tuple(_integer(i, "party", 0, scenario.parties) for i in parties)
+    if list(parties) != sorted(set(parties)):
+        raise ValidationError(f"party subset {parties} must be strictly increasing")
+    if len(settings) != len(parties):
+        raise ValidationError(f"settings {settings} do not fit party subset {parties}")
+    return parties, tuple(
+        _integer(s, f"setting of party {i}", 0, scenario.settings[i])
+        for i, s in zip(parties, settings)
+    )
 
 
 def _warn_if_signaling(rows: np.ndarray, parties: tuple[int, ...], tol: float) -> None:
@@ -506,26 +535,28 @@ def marginal(
     ``tol``) a :class:`SignalingWarning` is emitted and the average is
     returned anyway.
     """
-    scenario = behavior.scenario
-    parties = tuple(int(i) for i in parties)
-    settings = tuple(int(s) for s in settings)
+    parties, settings = _subset_assignment(behavior.scenario, parties, settings)
     if not parties:
         raise ValidationError("party subset must be nonempty")
-    if len(set(parties)) != len(parties) or list(parties) != sorted(parties):
-        raise ValidationError("party subset must be strictly increasing")
-    if any(not 0 <= i < scenario.parties for i in parties):
-        raise ValidationError("party index out of range")
-    if len(settings) != len(parties):
-        raise ValidationError("need one setting per listed party")
-    for i, s in zip(parties, settings):
-        if not 0 <= s < scenario.settings[i]:
-            raise ValidationError(f"setting {s} out of range for party {i}")
     rows = _subset_rows(behavior, parties)[settings]
     _warn_if_signaling(rows, parties, tol)
     return rows.mean(axis=0)
 
 
 # --- JSON serialization ----------------------------------------------------
+
+@contextmanager
+def _reading(what: str):
+    """Read a JSON document: a missing key, a wrong type or a non-integer count
+    raises "malformed <what>: ..."; domain errors pass through unchanged."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        if type(exc) is ValidationError:
+            raise
+        detail = exc if isinstance(exc, _NotAnInteger) else repr(exc)
+        raise ValidationError(f"malformed {what}: {detail}") from exc
+
 
 def behavior_to_dict(behavior: Behavior) -> dict:
     scenario = behavior.scenario
@@ -541,9 +572,10 @@ def behavior_to_dict(behavior: Behavior) -> dict:
 
 
 def behavior_from_dict(data: Mapping) -> Behavior:
-    try:
+    with _reading("behavior"):
         scenario = Scenario(tuple(data["settings"]), data["outcomes"])
-        if data.get("parties") not in (None, scenario.parties):
+        parties = data.get("parties")
+        if parties is not None and _integer(parties, "parties") != scenario.parties:
             raise ValidationError("party count does not match the settings list")
         table = np.zeros((scenario.num_inputs, scenario.num_outcomes))
         entries = data["table"]
@@ -558,8 +590,4 @@ def behavior_from_dict(data: Mapping) -> Behavior:
             if len(row) != scenario.num_outcomes:
                 raise ValidationError(f"row {key!r} has {len(row)} entries")
             table[scenario.input_index(x)] = row
-    except ValidationError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed behavior: {exc!r}") from exc
     return Behavior(scenario, table)

@@ -36,9 +36,11 @@ from .scenario import (
     Scenario,
     ScenarioMismatchError,
     ValidationError,
+    _integer,
     _paired,
     _queries,
     _query_key,
+    _reading,
     _strategy_digits,
     _subset_rows,
     _warn_if_signaling,
@@ -51,7 +53,7 @@ _GATHER_ELEMENTS = 1 << 16
 
 
 def _check_perm(perm: Sequence[int], size: int, what: str) -> tuple[int, ...]:
-    perm = tuple(int(p) for p in perm)
+    perm = tuple(_integer(p, f"entry of {what}") for p in perm)
     if sorted(perm) != list(range(size)):
         raise ValidationError(f"{what} {perm} is not a permutation of 0..{size - 1}")
     return perm
@@ -188,7 +190,7 @@ def global_outcome_flip(scenario: Scenario) -> Relabeling:
 
 def outcome_shift(scenario: Scenario, step: int = 1) -> Relabeling:
     """Shift every outcome of every party and setting by ``step`` modulo d."""
-    d = scenario.outcomes
+    d, step = scenario.outcomes, _integer(step, "step")
     perm = tuple((o + step) % d for o in range(d))
     return Relabeling(
         scenario,
@@ -424,6 +426,7 @@ def find_symmetries(
     without re-validation; the identity is skipped by its index (identity
     party permutation, head and tail combination 0).
     """
+    cap = _integer(cap, "cap", 0)
     scenario = functional.scenario
     total = search_space_size(scenario, include_party_perms)
     if total > cap:
@@ -602,10 +605,8 @@ class UniformityCertificate:
     def marginal_classes(self, party: int, setting: int) -> list[list[int]]:
         """Outcome classes forced equiprobable for one party's setting."""
         sc = self.functional.scenario
-        if not 0 <= party < sc.parties:
-            raise ValidationError(f"party {party} out of range")
-        if not 0 <= setting < sc.settings[party]:
-            raise ValidationError(f"setting {setting} out of range for party {party}")
+        party = _integer(party, "party", 0, sc.parties)
+        setting = _integer(setting, f"setting of party {party}", 0, sc.settings[party])
         base = _marginal_offsets(sc)[party] + setting * sc.outcomes
         return _classes(self.marginal_orbits[base : base + sc.outcomes])
 
@@ -710,7 +711,7 @@ def relabeling_to_dict(relabeling: Relabeling) -> dict:
 
 
 def relabeling_from_dict(scenario: Scenario, data: Mapping) -> Relabeling:
-    try:
+    with _reading("relabeling"):
         parties = data["parties"]
         if len(parties) != scenario.parties:
             raise ValidationError("relabeling party count does not match scenario")
@@ -720,10 +721,6 @@ def relabeling_from_dict(scenario: Scenario, data: Mapping) -> Relabeling:
             tuple(tuple(tuple(q) for q in p["output_perms"]) for p in parties),
             tuple(data["party_perm"]) if data.get("party_perm") else None,
         )
-    except ValidationError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed relabeling: {exc!r}") from exc
 
 
 def certificate_to_dict(cert: UniformityCertificate) -> dict:

@@ -45,34 +45,30 @@ def _batched_value(
     """Extremal Bell-operator eigenvalue for every angle assignment.
 
     ``angle_grid`` has shape (batch, total_settings) listing the angle of
-    every (party, setting) pair in scenario order.
+    every (party, setting) pair in scenario order.  The operator
+    sum_{x,a} c(a,x) P^0[x_0, a_0] (x) P^1[x_1, a_1] (x) ... is built by
+    summing out one party's (setting, outcome) pairs at a time.
     """
     sc = functional.scenario
+    n = sc.parties
     batch = angle_grid.shape[0]
     eye = np.eye(2, dtype=complex if plane == "xy" else float)
-    projectors: list[list[np.ndarray]] = []
+    # c[x_0, a_0, x_1, a_1, ...] with one (setting, outcome) axis pair per party
+    c = functional.float_table.reshape(sc.settings + (2,) * n)
+    c = c.transpose([k for i in range(n) for k in (i, n + i)])
+    op = np.broadcast_to(c.reshape(1, -1), (batch, c.size))
     col = 0
     for m in sc.settings:
-        per_party = []
-        for _ in range(m):
-            obs = _observables(angle_grid[:, col], plane)
-            per_party.append(np.stack([(eye + obs) / 2, (eye - obs) / 2], axis=1))
-            col += 1
-        projectors.append(per_party)
-    dim = 2**sc.parties
-    dtype = complex if plane == "xy" else float
-    op = np.zeros((batch, dim, dim), dtype=dtype)
-    for (x_idx, a_idx), coeff in functional.coefficients.items():
-        x = sc.input_tuple(x_idx)
-        a = sc.outcome_tuple(a_idx)
-        term = projectors[0][x[0]][:, a[0]]
-        for i in range(1, sc.parties):
-            nxt = projectors[i][x[i]][:, a[i]]
-            term = np.einsum("bij,bkl->bikjl", term, nxt).reshape(
-                batch, term.shape[1] * 2, term.shape[1] * 2
-            )
-        op += float(coeff) * term
-    vals = np.linalg.eigvalsh(op)
+        obs = _observables(angle_grid[:, col : col + m], plane)  # (batch, m, 2, 2)
+        col += m
+        projectors = np.stack([(eye + obs) / 2, (eye - obs) / 2], axis=2)
+        # (batch, rest, m * 2) @ (batch, m * 2, 4): this party's (setting,
+        # outcome) pairs summed out, its matrix indices appended last
+        op = op.reshape(batch, m * 2, -1).swapaxes(1, 2) @ projectors.reshape(batch, m * 2, 4)
+    # axes (batch, p_0, q_0, p_1, q_1, ...) to rows p_0 p_1 ... and columns q_0 q_1 ...
+    op = op.reshape((batch,) + (2, 2) * n)
+    op = op.transpose(0, *range(1, 2 * n, 2), *range(2, 2 * n + 1, 2))
+    vals = np.linalg.eigvalsh(op.reshape(batch, 2**n, 2**n))
     return vals[:, -1] if functional.orientation == "max" else vals[:, 0]
 
 

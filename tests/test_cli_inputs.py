@@ -75,6 +75,22 @@ class TestRandomnessFailsBeforeOptimizing:
         assert code == 2 and not out
 
 
+class TestSeedRange:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("maximize", "--functional", "chsh"),
+            ("randomness", "--functional", "chsh", "--query", "local:1,1"),
+            ("demo", "chsh"),
+        ],
+        ids=["maximize", "randomness", "demo"],
+    )
+    def test_negative_seed_is_a_usage_error(self, capsys, argv):
+        result = run_cli(capsys, *argv, "--seed", "-1")
+        assert_error(result, 2, "usage")
+        assert json.loads(result[2])["message"] == "--seed must be at least 0"
+
+
 def _chsh_file(tmp_path, edit):
     doc = functional_to_dict(chsh())
     doc = edit(doc)

@@ -1,7 +1,8 @@
 """One checked path from measurement lists to projector stacks: the shared
 structural check, the array-wise projectivity check against the loop it
-replaced (``model_oracle``), the read-only stacks a model keeps, the
-broadcast phase bases, and the domain errors of the dict readers."""
+replaced (``model_oracle``), the read-only stacks and Bloch vectors a model
+keeps, NaN failing every model check, the broadcast phase bases, and the
+domain errors of the dict readers."""
 
 import json
 import math
@@ -25,6 +26,7 @@ from bellcert import (
     model_to_dict,
     phase_measurement_model,
     qubit_model,
+    qubit_projectors,
 )
 from bellcert.quantum import QuantumModel
 
@@ -134,6 +136,48 @@ class TestReadOnlyStacks:
                 block[:] = np.eye(2)
         assert all(np.array_equal(a, b) for a, b in zip((model.state, *model._stacks), kept))
         assert np.array_equal(behavior_from_model(model).table, table)
+
+    def test_bloch_vectors_are_read_only_copies(self):
+        v = np.array([[[0.0, 0.0, 1.0]]])
+        model = qubit_model(Scenario((1,), 2), [1.0, 0.0], v)
+        v[0, 0, 2] = -1.0
+        assert model.bloch[0][0].tolist() == [0.0, 0.0, 1.0]
+        assert not model.bloch[0][0].flags.writeable
+        assert model_to_dict(model)["measurements"]["vectors"] == [[[0.0, 0.0, 1.0]]]
+
+
+NAN = float("nan")
+
+
+def _nan_in_second_projector():
+    stack = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    stack[1, 0, 0] = NAN
+    return stack
+
+
+class TestNaNFailsModelChecks:
+    def test_nan_state(self):
+        with pytest.raises(ValidationError, match="norm"):
+            qubit_model(Scenario((1,), 2), [NAN, 0.0], [[[0.0, 0.0, 1.0]]])
+
+    def test_nan_bloch_vector(self):
+        with pytest.raises(ValidationError, match="unit length"):
+            qubit_projectors([NAN, 0.0, 1.0])
+        with pytest.raises(ValidationError, match="unit length"):
+            qubit_model(Scenario((1,), 2), [1.0, 0.0], [[[NAN, 0.0, 1.0]]])
+
+    @pytest.mark.parametrize(
+        "stack, message",
+        [
+            (np.full((2, 2, 2), NAN), "projector 0 of party 0, setting 0 is not Hermitian"),
+            (_nan_in_second_projector(), "projector 1 of party 0, setting 0 is not Hermitian"),
+        ],
+        ids=["all-nan", "nan-in-second-projector"],
+    )
+    def test_nan_projectors_in_report_order(self, stack, message):
+        with pytest.raises(ValidationError) as got:
+            QuantumModel(Scenario((1,), 2), [1.0, 0.0], ((stack,),))
+        assert str(got.value) == message
 
 
 def random_projectors(rng, dim, outcomes):
@@ -274,6 +318,14 @@ def _scalar_row():
     return data
 
 
+def _list_table():
+    return {"settings": [1], "outcomes": 2, "table": [[0.5, 0.5]]}
+
+
+def _integer_key():
+    return {"settings": [1], "outcomes": 2, "table": {5: [0.5, 0.5]}}
+
+
 class TestDictReaders:
     @pytest.mark.parametrize(
         "make, message",
@@ -297,8 +349,10 @@ class TestDictReaders:
             (dict, "malformed behavior: KeyError"),
             (_letter_key, "malformed behavior: ValueError"),
             (_scalar_row, "malformed behavior: TypeError"),
+            (_list_table, "malformed behavior: AttributeError"),
+            (_integer_key, "malformed behavior: AttributeError"),
         ],
-        ids=["empty", "letter-key", "scalar-row"],
+        ids=["empty", "letter-key", "scalar-row", "list-table", "integer-key"],
     )
     def test_malformed_behavior(self, make, message):
         with pytest.raises(ValidationError) as got:
