@@ -1,8 +1,11 @@
 """Command-line front end: bounds, optimization, symmetry search, certification.
 
-Every subcommand prints a single JSON document to standard output; errors go
-to standard error as JSON objects with a stable ``code`` field.  Exit codes:
-0 success, 1 computational error, 2 usage error.  Identical argv and seed
+Every subcommand prints a single JSON document to standard output.  Every
+failure, argparse's own included, is one JSON line ``{"code", "message"}`` on
+standard error, with exit code 2 for ``usage`` and 1 for ``invalid-input``,
+``cap-exceeded`` and ``io`` (an unreadable ``--file``, an unwritable
+``--output``); ``--help`` and ``--version`` print text and exit 0.  An option
+left out takes the library function's default.  Identical argv and seed
 produce byte-identical output.
 
 Settings and parties are 1-based on the command line (``--query joint:1,2``
@@ -24,7 +27,6 @@ import numpy as np
 
 from . import __version__
 from .functionals import (
-    DEFAULT_STRATEGY_CAP,
     BellFunctional,
     CapExceededError,
     chained_correlator,
@@ -56,7 +58,6 @@ from .scenario import (
     behavior_to_dict,
 )
 from .symmetry import (
-    DEFAULT_SEARCH_CAP,
     SearchCapExceededError,
     _certify_all_queries,
     find_symmetries,
@@ -80,28 +81,27 @@ def _check_numeric_options(args: argparse.Namespace) -> None:
         raise UsageError("--tol must be positive")
 
 
+_FUNCTIONALS = {
+    "chsh": lambda args: chsh(),
+    "tilted-chsh": lambda args: tilted_chsh(args.eta),
+    "chained-modular": lambda args: chained_modular(args.m, args.d),
+    "chained-correlator": lambda args: chained_correlator(args.m),
+    "mermin": lambda args: mermin(args.n),
+    "lifted-chsh-c": lambda args: lifted_chsh_c(),
+}
+_OPTIMIZER_OPTIONS = {"seed": int, "restarts": int, "tol": float, "max_iters": int}
+
+
 def _build_functional(args: argparse.Namespace) -> BellFunctional:
-    if args.file and args.functional:
-        raise UsageError("give either --functional or --file, not both")
-    if args.file:
+    if args.file is not None:
         with open(args.file, encoding="utf-8") as fh:
             return functional_from_dict(json.load(fh))
-    name = args.functional
-    if not name:
-        raise UsageError("a functional is required (--functional or --file)")
-    if name == "chsh":
-        return chsh()
-    if name == "tilted-chsh":
-        return tilted_chsh(args.eta)
-    if name == "chained-modular":
-        return chained_modular(args.m, args.d)
-    if name == "chained-correlator":
-        return chained_correlator(args.m)
-    if name == "mermin":
-        return mermin(args.n)
-    if name == "lifted-chsh-c":
-        return lifted_chsh_c()
-    raise UsageError(f"unknown functional {name!r}")
+    return _FUNCTIONALS[args.functional](args)
+
+
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    """The options among ``names`` that were given; the others keep the library's defaults."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
 def _parse_query(text: str, functional: BellFunctional) -> JointQuery | LocalQuery:
@@ -166,7 +166,7 @@ def _bits_block(cert) -> dict:
 
 def _cmd_local_bound(args: argparse.Namespace) -> dict:
     functional = _build_functional(args)
-    report = local_bound(functional, cap=args.cap)
+    report = local_bound(functional, **_given(args, "cap"))
     out = {
         "functional": functional.name,
         "orientation": functional.orientation,
@@ -176,16 +176,6 @@ def _cmd_local_bound(args: argparse.Namespace) -> dict:
     if args.list_maximizers:
         out["maximizers"] = [[list(p) for p in s] for s in report.maximizers]
     return out
-
-
-def _optimize(functional: BellFunctional, args: argparse.Namespace):
-    return optimize_violation(
-        functional,
-        restarts=args.restarts,
-        seed=args.seed,
-        tol=args.tol,
-        max_iters=args.max_iters,
-    )
 
 
 def _optimum(result) -> dict:
@@ -200,7 +190,7 @@ def _optimum(result) -> dict:
 
 def _cmd_maximize(args: argparse.Namespace) -> dict:
     functional = _build_functional(args)
-    result = _optimize(functional, args)
+    result = optimize_violation(functional, **_given(args, *_OPTIMIZER_OPTIONS))
     out = {"functional": functional.name, "orientation": functional.orientation}
     out.update(_optimum(result))
     if args.emit_model:
@@ -212,12 +202,10 @@ def _cmd_maximize(args: argparse.Namespace) -> dict:
 
 def _cmd_symmetries(args: argparse.Namespace) -> dict:
     functional = _build_functional(args)
-    found = find_symmetries(
-        functional, include_party_perms=args.party_perms, cap=args.cap
-    )
+    found = find_symmetries(functional, **_given(args, "include_party_perms", "cap"))
     return {
         "functional": functional.name,
-        "include_party_perms": bool(args.party_perms),
+        "include_party_perms": args.include_party_perms,
         "count": len(found),
         "symmetries": [relabeling_to_dict(g) for g in found],
     }
@@ -225,10 +213,8 @@ def _cmd_symmetries(args: argparse.Namespace) -> dict:
 
 def _cmd_certify(args: argparse.Namespace) -> dict:
     functional = _build_functional(args)
-    query = _parse_query(args.query, functional) if args.query else None
-    generators = find_symmetries(
-        functional, include_party_perms=args.party_perms, cap=args.cap
-    )
+    query = None if args.query is None else _parse_query(args.query, functional)
+    generators = find_symmetries(functional, **_given(args, "include_party_perms", "cap"))
     cert = _certify_all_queries(functional, generators)
     out = {
         "functional": functional.name,
@@ -250,7 +236,7 @@ def _cmd_certify(args: argparse.Namespace) -> dict:
 def _cmd_randomness(args: argparse.Namespace) -> dict:
     functional = _build_functional(args)
     query = _parse_query(args.query, functional)
-    result = _optimize(functional, args)
+    result = optimize_violation(functional, **_given(args, *_OPTIMIZER_OPTIONS))
     report = observed_report(result.behavior, query)
     return {
         "functional": functional.name,
@@ -505,9 +491,17 @@ def _run_demo(name: str, seed: int) -> dict:
 
 # --- entry point -----------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's own usage errors so that ``main`` reports them as JSON."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def _add_functional_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--functional", help="built-in functional name")
-    parser.add_argument("--file", help="path to a functional JSON file")
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--functional", choices=_FUNCTIONALS, help="built-in functional name")
+    source.add_argument("--file", help="path to a functional JSON file")
     parser.add_argument("--eta", type=float, default=0.5, help="tilt weight (tilted-chsh)")
     parser.add_argument("--m", type=int, default=3, help="settings per party (chained)")
     parser.add_argument("--d", type=int, default=2, help="outcomes (chained-modular)")
@@ -515,14 +509,12 @@ def _add_functional_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_optimizer_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--restarts", type=int, default=20)
-    parser.add_argument("--tol", type=float, default=1e-10)
-    parser.add_argument("--max-iters", type=int, default=500)
+    for name, kind in _OPTIMIZER_OPTIONS.items():
+        parser.add_argument(f"--{name.replace('_', '-')}", type=kind, default=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bellcert",
         description="Bell functional bounds, symmetries, and randomness certificates",
     )
@@ -533,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("local-bound", help="exact bound over deterministic strategies")
     _add_functional_options(p)
-    p.add_argument("--cap", type=int, default=DEFAULT_STRATEGY_CAP)
+    p.add_argument("--cap", type=int, default=argparse.SUPPRESS)
     p.add_argument("--list-maximizers", action="store_true")
     p.set_defaults(func=_cmd_local_bound)
 
@@ -546,14 +538,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("symmetries", help="exhaustive relabeling-symmetry search")
     _add_functional_options(p)
-    p.add_argument("--cap", type=int, default=DEFAULT_SEARCH_CAP)
-    p.add_argument("--party-perms", action="store_true")
+    p.add_argument("--cap", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--party-perms", dest="include_party_perms", action="store_true")
     p.set_defaults(func=_cmd_symmetries)
 
     p = sub.add_parser("certify", help="orbit-based uniformity certification")
     _add_functional_options(p)
-    p.add_argument("--cap", type=int, default=DEFAULT_SEARCH_CAP)
-    p.add_argument("--party-perms", action="store_true")
+    p.add_argument("--cap", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--party-perms", dest="include_party_perms", action="store_true")
     p.add_argument("--query", help="joint:<x1>,..,<xN> or local:<party>,<setting> (1-based)")
     p.set_defaults(func=_cmd_certify)
 
@@ -571,13 +563,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(document: dict, args: argparse.Namespace) -> None:
-    indent = 2 if args.pretty else None
-    text = json.dumps(document, sort_keys=True, indent=indent)
-    if args.output:
+    text = json.dumps(document, sort_keys=True, indent=2 if args.pretty else None) + "\n"
+    if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
 
 
 def _emit_error(code: str, message: str) -> None:
@@ -585,15 +576,12 @@ def _emit_error(code: str, message: str) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 on --help/--version
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         _check_numeric_options(args)
-        document = args.func(args)
+        _emit(args.func(args), args)
+    except SystemExit as exc:  # --help and --version
+        return int(exc.code or 0)
     except UsageError as exc:
         _emit_error("usage", str(exc))
         return 2
@@ -606,7 +594,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         _emit_error("io", str(exc))
         return 1
-    _emit(document, args)
     return 0
 
 

@@ -396,44 +396,36 @@ class LocalBoundReport:
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _strategy_sums(V: np.ndarray, W: np.ndarray, x: int = 0):
-    """Sums sum_x V[:, x, s(x)] over the settings x of one party, for each of
-    its d**M deterministic strategies s, yielded as (n, t, *rest) blocks over
-    consecutive runs of strategies in enumeration order (the outcome for
-    setting x is the base-d digit at position M - 1 - x).
-
-    ``V`` has shape (n, M, d, *rest) and ``W`` (n, t, *rest) holds the sums
-    over the settings before ``x``.  A block splits by the outcomes of
-    leading settings only when n == 1, so its rows stay in (row, strategy)
-    order."""
-    n, m, d = V.shape[:3]
-    if x == m:
-        yield W
-    elif n == 1 and W.size * d ** (m - x) > _BLOCK_ELEMENTS:
-        for a in range(d):
-            yield from _strategy_sums(V, W + V[:, x, a, None], x + 1)
-    else:
-        W = W[:, :, None] + V[:, x, None]
-        yield from _strategy_sums(V, W.reshape(n, -1, *V.shape[3:]), x + 1)
-
-
-def _prefix_blocks(V: np.ndarray):
+def _prefix_blocks(V: np.ndarray, W: np.ndarray | None = None, x: int = 0):
     """The party-paired table contracted with every deterministic strategy of
     all parties but the last, yielded as (n, M_{N-1}, d) blocks over
     consecutive runs of those prefix strategies in enumeration order (party
-    0 most significant).
+    0 most significant; within a party the outcome for setting x is the
+    base-d digit at position M - 1 - x).
 
     ``V`` has shape (n, M_k, d, M_{k+1}, d, ...): one row per strategy of
-    the parties before k, the table contracted with it."""
-    if V.ndim == 3:
-        yield V
-        return
-    m, d, rest = V.shape[1], V.shape[2], V.shape[3:]
-    step = max(1, _BLOCK_ELEMENTS // (d**m * math.prod(rest)))
-    for start in range(0, len(V), step):
-        rows = V[start : start + step]
-        for W in _strategy_sums(rows, np.zeros((len(rows), 1, *rest), V.dtype)):
-            yield from _prefix_blocks(W.reshape(-1, *rest))
+    the parties before k, the table contracted with it; ``W`` (n, t, M_{k+1},
+    d, ...) sums it over settings 0..x-1 for t partial strategies of party k.
+    While party k's last block would exceed ``_BLOCK_ELEMENTS``, the first
+    axis of ``W`` longer than 1 is halved before the next setting is added."""
+    if W is None:
+        if V.ndim == 3:
+            yield V
+            return
+        W = np.zeros((len(V), 1, *V.shape[3:]), V.dtype)
+    n, m, d = V.shape[:3]
+    if x == m:
+        yield from _prefix_blocks(W.reshape(-1, *V.shape[3:]))
+    elif W.size * d ** (m - x) > _BLOCK_ELEMENTS and W.shape[:2] != (1, 1):
+        if n > 1:
+            halves = (V[: n // 2], W[: n // 2]), (V[n // 2 :], W[n // 2 :])
+        else:
+            halves = (V, W[:, : W.shape[1] // 2]), (V, W[:, W.shape[1] // 2 :])
+        for half in halves:
+            yield from _prefix_blocks(*half, x)
+    else:
+        W = W[:, :, None] + V[:, x, None]
+        yield from _prefix_blocks(V, W.reshape(n, -1, *V.shape[3:]), x + 1)
 
 
 def _best_responses(ties: np.ndarray, limit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -572,8 +564,12 @@ def functional_from_dict(data: Mapping) -> BellFunctional:
             xs @ np.array(scenario.input_strides) * scenario.num_outcomes
             + as_ @ np.array(scenario.outcome_strides)
         )
-        nums = [_integer(term["c_num"], "c_num") for term in terms]
-        exps = [_integer(term["c_log2_den"], "c_log2_den", 0) for term in terms]
+        nums = [term["c_num"] for term in terms]
+        exps = [term["c_log2_den"] for term in terms]
+        if not {*map(type, nums), *map(type, exps)} <= {int} or min(exps, default=0) < 0:
+            # one value at a time: the reader names the first bad one
+            nums = [_integer(c, "c_num") for c in nums]
+            exps = [_integer(e, "c_log2_den", 0) for e in exps]
     return BellFunctional._from_table(
         scenario,
         *_sum_terms(scenario, events, nums, exps),

@@ -71,6 +71,17 @@ def _integer(value, what: str, low: int | None = None, high: int | None = None) 
     raise error(f"{what} must be an integer{span}, got {value!r}")
 
 
+def _entries(value, what: str, length: int | None = None) -> tuple:
+    """A sequence argument's entries; a scalar or another ``length`` raises ValidationError."""
+    try:
+        entries = tuple(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be a sequence, got {value!r}") from None
+    if length is not None and len(entries) != length:
+        raise ValidationError(f"{what} must have {length} entries, got {value!r}")
+    return entries
+
+
 def outcome_sign(index: int) -> int:
     """Physical +-1 label of a two-outcome index (0 -> +1, 1 -> -1)."""
     return 1 - 2 * index
@@ -90,7 +101,8 @@ class Scenario:
     outcomes: int
 
     def __post_init__(self) -> None:
-        settings = tuple(_integer(m, "setting count", 1) for m in self.settings)
+        settings = _entries(self.settings, "settings")
+        settings = tuple(_integer(m, "setting count", 1) for m in settings)
         object.__setattr__(self, "settings", settings)
         object.__setattr__(self, "outcomes", _integer(self.outcomes, "outcomes", 2))
         if len(self.settings) < 1:
@@ -247,7 +259,7 @@ class JointQuery:
     settings: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        settings = tuple(_integer(s, "setting", 0) for s in self.settings)
+        settings = tuple(_integer(s, "setting", 0) for s in _entries(self.settings, "settings"))
         object.__setattr__(self, "settings", settings)
 
 
@@ -257,6 +269,10 @@ class LocalQuery:
 
     party: int
     setting: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "party", _integer(self.party, "party", 0))
+        object.__setattr__(self, "setting", _integer(self.setting, "setting", 0))
 
 
 def _queries(scenario: Scenario) -> list[JointQuery | LocalQuery]:
@@ -399,24 +415,25 @@ class CorrelatorForm:
     def __post_init__(self) -> None:
         if self.scenario.outcomes != 2:
             raise ValidationError("correlator form requires a two-outcome scenario")
-        expected = set(self.scenario.subset_setting_keys())
-        got = set(self.values)
-        if got != expected:
-            missing = expected - got
-            extra = got - expected
-            raise ValidationError(
-                f"correlator keys do not match scenario ({len(missing)} missing, {len(extra)} unexpected)"
-            )
         cleaned = {}
         for key, v in self.values.items():
+            key = _subset_assignment(self.scenario, *_entries(key, "correlator key", 2))
             v = float(v)
             if abs(v) > 1 + NORMALIZATION_TOL:
                 raise ValidationError(f"correlator {key} = {v} outside [-1, 1]")
             cleaned[key] = min(1.0, max(-1.0, v))
+        expected = set(self.scenario.subset_setting_keys())
+        missing = len(expected - cleaned.keys())
+        extra = len(self.values) - len(expected) + missing
+        if missing or extra:
+            raise ValidationError(
+                f"correlator keys do not match scenario ({missing} missing, {extra} unexpected)"
+            )
         object.__setattr__(self, "values", cleaned)
 
     def get(self, parties: Sequence[int], settings: Sequence[int]) -> float:
-        return self.values[(tuple(parties), tuple(settings))]
+        # the one valid key not stored is the empty subset's: the implicit 1
+        return self.values.get(_subset_assignment(self.scenario, parties, settings), 1.0)
 
 
 def correlators_from_behavior(behavior: Behavior) -> CorrelatorForm:
@@ -482,11 +499,10 @@ def _subset_rows(behavior: Behavior, parties: tuple[int, ...]) -> np.ndarray:
 def _subset_assignment(scenario: Scenario, parties, settings) -> tuple[tuple, tuple]:
     """A strictly increasing party subset and one setting for each of its
     parties, read and range-checked."""
-    parties = tuple(_integer(i, "party", 0, scenario.parties) for i in parties)
+    parties = tuple(_integer(i, "party", 0, scenario.parties) for i in _entries(parties, "parties"))
     if list(parties) != sorted(set(parties)):
         raise ValidationError(f"party subset {parties} must be strictly increasing")
-    if len(settings) != len(parties):
-        raise ValidationError(f"settings {settings} do not fit party subset {parties}")
+    settings = _entries(settings, f"settings of party subset {parties}", len(parties))
     return parties, tuple(
         _integer(s, f"setting of party {i}", 0, scenario.settings[i])
         for i, s in zip(parties, settings)

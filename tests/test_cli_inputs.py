@@ -226,3 +226,41 @@ class TestDenominatorRange:
         assert code == 0
         if command == "local-bound":
             assert json.loads(out)["bound"] == pytest.approx(2.3)
+
+
+class TestOneErrorPath:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("local-bound", "--functional", "chsh", "--cap", "abc"),
+            ("local-bound", "--functional", "mermin", "--n", "1.5"),
+            ("local-bound", "--functional", "foo"),
+            ("local-bound",),
+            ("local-bound", "--functional", "chsh", "--file", "f.json"),
+            ("randomness", "--functional", "chsh"),
+            ("frobnicate",),
+        ],
+        ids=["cap-abc", "n-fraction", "unknown", "neither", "both", "no-query", "no-command"],
+    )
+    def test_argparse_failure_is_one_json_usage_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        lines = err.splitlines()
+        assert code == 2 and not out and len(lines) == 1
+        assert json.loads(lines[0])["code"] == "usage"
+
+    @pytest.mark.parametrize(
+        "target", ["{tmp}/missing/out.json", ""], ids=["missing-directory", "empty-name"]
+    )
+    def test_unwritable_output_is_an_io_error(self, capsys, tmp_path, target):
+        target = target.format(tmp=tmp_path)
+        result = run_cli(capsys, "--output", target, "local-bound", "--functional", "chsh")
+        assert_error(result, 1, "io")
+        assert len(result[2].splitlines()) == 1
+
+    def test_empty_file_name_is_an_io_error(self, capsys):
+        assert_error(run_cli(capsys, "local-bound", "--file", ""), 1, "io")
+
+    def test_empty_query_is_malformed(self, capsys):
+        result = run_cli(capsys, "certify", "--functional", "chsh", "--query", "")
+        assert_error(result, 2, "usage")
+        assert json.loads(result[2])["message"] == "malformed query ''"

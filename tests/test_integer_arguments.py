@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bellcert import (
+    CorrelatorForm,
     JointQuery,
     LocalQuery,
     Relabeling,
@@ -16,6 +17,7 @@ from bellcert import (
     chained_correlator,
     chained_modular,
     chsh,
+    correlators_from_behavior,
     find_symmetries,
     from_correlator_terms,
     functional_from_dict,
@@ -65,6 +67,16 @@ REJECTED = {
     "document-party-count": lambda: functional_from_dict(
         {**functional_to_dict(chsh()), "parties": 2.0}
     ),
+    "scenario-scalar-settings": lambda: Scenario(5, 2),
+    "joint-query-scalar": lambda: JointQuery(5),
+    "local-query-half-party": lambda: LocalQuery(0.5, 0),
+    "local-query-negative-party": lambda: LocalQuery(-1, 0),
+    "correlator-form-float-key": lambda: CorrelatorForm(
+        Scenario((1,), 2), {((0.0,), (0,)): 0.5}
+    ),
+    "correlator-form-get-scalars": lambda: correlators_from_behavior(
+        uniform_behavior(SC)
+    ).get(0, 0),
 }
 
 

@@ -248,3 +248,9 @@ class TestBehaviorJson:
         assert data["settings"] == [2, 1]
         assert data["outcomes"] == 3
         assert set(data["table"]) == {"x=0,0", "x=1,0"}
+
+
+def test_correlator_of_the_empty_subset_is_the_implicit_constant():
+    form = correlators_from_behavior(uniform_behavior(Scenario((2, 2), 2)))
+    assert form.get((), ()) == 1.0
+    assert form.get([np.int64(1)], (1,)) == form.get((1,), (1,))
