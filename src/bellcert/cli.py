@@ -59,11 +59,11 @@ from .scenario import (
 )
 from .symmetry import (
     SearchCapExceededError,
-    _certify_all_queries,
+    _relabeling_dicts,
+    certify_uniform,
     find_symmetries,
     orbit_equality_violation,
     outcome_shift,
-    relabeling_to_dict,
 )
 
 
@@ -207,7 +207,7 @@ def _cmd_symmetries(args: argparse.Namespace) -> dict:
         "functional": functional.name,
         "include_party_perms": args.include_party_perms,
         "count": len(found),
-        "symmetries": [relabeling_to_dict(g) for g in found],
+        "symmetries": _relabeling_dicts(functional.scenario, found),
     }
 
 
@@ -215,7 +215,7 @@ def _cmd_certify(args: argparse.Namespace) -> dict:
     functional = _build_functional(args)
     query = None if args.query is None else _parse_query(args.query, functional)
     generators = find_symmetries(functional, **_given(args, "include_party_perms", "cap"))
-    cert = _certify_all_queries(functional, generators)
+    cert = certify_uniform(functional, generators)
     out = {
         "functional": functional.name,
         "generator_count": len(cert.generators),
@@ -316,7 +316,7 @@ def _tilted_fields(run: _DemoRun) -> dict:
         "eta": _TILT,
         "symmetries": {
             "count": len(run.generators),
-            "generators": [relabeling_to_dict(g) for g in run.generators],
+            "generators": _relabeling_dicts(run.functional.scenario, run.generators),
         },
         "marginal_correlators": {
             "A1": correlators.get((0,), (0,)),
@@ -331,11 +331,10 @@ def _tilted_fields(run: _DemoRun) -> dict:
 
 def _chained_local_fields(run: _DemoRun) -> dict:
     sc = run.functional.scenario
-    shift = relabeling_to_dict(outcome_shift(sc))
     return {
         "m": sc.settings[0],
         "d": sc.outcomes,
-        "shift_symmetry_verified": shift in [relabeling_to_dict(g) for g in run.generators],
+        "shift_symmetry_verified": outcome_shift(sc) in run.generators,
         "qudit_model_value": evaluate(run.functional, run.behavior),
         "summary": {
             "local_bits": run.document["certification"]["local_bits"],
@@ -360,7 +359,7 @@ def _mermin_odd_fields(run: _DemoRun) -> dict:
     parties = run.functional.scenario.parties
     correlators = correlators_from_behavior(run.behavior).values
     five = mermin(5)
-    cert5 = _certify_all_queries(five, find_symmetries(five))
+    cert5 = certify_uniform(five, find_symmetries(five))
     bits5 = {_query_key(q): cert5.certified_bits(q) for q in _even_primed(five)}
     bits3 = {_query_key(q): run.cert.certified_bits(q) for q in run.queries}
     return {
@@ -467,7 +466,7 @@ def _run_demo(name: str, seed: int) -> dict:
     cert, queries = None, []
     if spec.queries is not None:
         gens = [outcome_shift(functional.scenario)] if spec.shift_only else generators
-        cert = _certify_all_queries(functional, gens)
+        cert = certify_uniform(functional, gens)
         queries = spec.queries(cert)
         document["certification"] = _bits_block(cert)
     if spec.model is None:

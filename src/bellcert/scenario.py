@@ -567,7 +567,7 @@ def _reading(what: str):
     raises "malformed <what>: ..."; domain errors pass through unchanged."""
     try:
         yield
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         if type(exc) is ValidationError:
             raise
         detail = exc if isinstance(exc, _NotAnInteger) else repr(exc)

@@ -12,8 +12,12 @@ query equals log2 of the smallest forced-equal event class there.
 Composition order inside one relabeling is fixed: input permutations first,
 then output permutations (attached to the *image* setting), then the party
 permutation.  A relabeling is fixed by its images of the single-party events
-(party, setting, outcome), so the group law is that of these permutations:
-inverse and composition act on the images and read the blocks back.
+(party, setting, outcome), and this int64 row is all it stores: the group
+law is that of these permutations, inverse and composition act on the rows,
+the search assembles each hit's row from the block images it matched, and
+certification stacks the rows of its generators.  The blocks
+(``input_perms``, ``output_perms``, ``party_perm``) are decoded from the row
+on first read, and the JSON listing decodes a whole list of rows at once.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -36,6 +40,7 @@ from .scenario import (
     Scenario,
     ScenarioMismatchError,
     ValidationError,
+    _entries,
     _integer,
     _paired,
     _queries,
@@ -48,18 +53,17 @@ from .scenario import (
 
 DEFAULT_SEARCH_CAP = 10**8
 # upper bound on the elements of one batched table of event images: the
-# generator pass of certification works in chunks of this size
+# generator pass of certification and the JSON listing work in chunks of this size
 _GATHER_ELEMENTS = 1 << 16
 
 
 def _check_perm(perm: Sequence[int], size: int, what: str) -> tuple[int, ...]:
-    perm = tuple(_integer(p, f"entry of {what}") for p in perm)
+    perm = tuple(_integer(p, f"entry of {what}") for p in _entries(perm, what))
     if sorted(perm) != list(range(size)):
         raise ValidationError(f"{what} {perm} is not a permutation of 0..{size - 1}")
     return perm
 
 
-@dataclass(frozen=True, eq=True)
 class Relabeling:
     """A relabeling of settings and outcomes, optionally of parties.
 
@@ -67,62 +71,95 @@ class Relabeling:
     ``x``; ``output_perms[i][y][o]`` is the image outcome of ``o`` at the
     *image* setting ``y``; ``party_perm[i]``, when present, is the slot the
     transformed party ``i`` moves to (identity if ``None``).
+
+    A relabeling stores only its scenario and its read-only int64 images of
+    the single-party events; the three blocks are read back from them.
     """
 
-    scenario: Scenario
-    input_perms: tuple[tuple[int, ...], ...]
-    output_perms: tuple[tuple[tuple[int, ...], ...], ...]
-    party_perm: tuple[int, ...] | None = None
+    __slots__ = ("scenario", "_images", "__dict__")  # the dict caches derived views
 
-    def __post_init__(self) -> None:
-        sc = self.scenario
-        if len(self.input_perms) != sc.parties or len(self.output_perms) != sc.parties:
+    def __init__(self, scenario: Scenario, input_perms, output_perms, party_perm=None) -> None:
+        sc, d = scenario, scenario.outcomes
+        input_perms = _entries(input_perms, "input permutations")
+        output_perms = _entries(output_perms, "output permutations")
+        if len(input_perms) != sc.parties or len(output_perms) != sc.parties:
             raise ValidationError("need one input and one output permutation block per party")
-        in_perms = tuple(
-            _check_perm(p, sc.settings[i], f"input permutation of party {i}")
-            for i, p in enumerate(self.input_perms)
-        )
-        out_perms = []
-        for i, per_setting in enumerate(self.output_perms):
+        blocks = []
+        for i, (sigma, per_setting) in enumerate(zip(input_perms, output_perms)):
+            sigma = _check_perm(sigma, sc.settings[i], f"input permutation of party {i}")
+            per_setting = _entries(per_setting, f"outcome permutations of party {i}")
             if len(per_setting) != sc.settings[i]:
-                raise ValidationError(
-                    f"party {i} needs one outcome permutation per setting"
-                )
-            out_perms.append(
-                tuple(
-                    _check_perm(p, sc.outcomes, f"outcome permutation of party {i}, setting {y}")
-                    for y, p in enumerate(per_setting)
-                )
-            )
-        party_perm = self.party_perm
+                raise ValidationError(f"party {i} needs one outcome permutation per setting")
+            tau = [
+                _check_perm(p, d, f"outcome permutation of party {i}, setting {y}")
+                for y, p in enumerate(per_setting)
+            ]
+            blocks.append([y * d + tau[y][o] for y in sigma for o in range(d)])
+        slots = range(sc.parties)
         if party_perm is not None:
-            party_perm = _check_perm(party_perm, sc.parties, "party permutation")
-            for i, j in enumerate(party_perm):
-                if sc.settings[i] != sc.settings[j]:
-                    raise ValidationError(
-                        "party permutation must preserve per-party setting counts"
-                    )
-            if party_perm == tuple(range(sc.parties)):
-                party_perm = None
-        object.__setattr__(self, "input_perms", in_perms)
-        object.__setattr__(self, "output_perms", tuple(out_perms))
-        object.__setattr__(self, "party_perm", party_perm)
+            slots = _check_perm(party_perm, sc.parties, "party permutation")
+            if any(sc.settings[i] != sc.settings[j] for i, j in enumerate(slots)):
+                raise ValidationError("party permutation must preserve per-party setting counts")
+        offsets = _marginal_offsets(sc)
+        images = [offsets[j] + e for block, j in zip(blocks, slots) for e in block]
+        self._keep(sc, np.array(images, dtype=np.int64))
 
     @classmethod
-    def _from_blocks(cls, scenario, input_perms, output_perms, party_perm):
-        """A relabeling from blocks that are valid by construction: tuples of
-        ints, and a party permutation already normalised (``None`` for the
-        identity).  Skips the checks of ``__post_init__``."""
-        relabeling = cls.__new__(cls)
-        relabeling.__dict__.update(
-            scenario=scenario,
-            input_perms=input_perms,
-            output_perms=output_perms,
-            party_perm=party_perm,
+    def _from_images(cls, scenario: Scenario, images: np.ndarray) -> "Relabeling":
+        """The relabeling with this valid int64 row of single-party event images."""
+        return object.__new__(cls)._keep(scenario, images)
+
+    def _keep(self, scenario: Scenario, images: np.ndarray) -> "Relabeling":
+        images.setflags(write=False)
+        object.__setattr__(self, "scenario", scenario)
+        object.__setattr__(self, "_images", images)
+        return self
+
+    def __reduce__(self):
+        return self._from_images, (self.scenario, self._images)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.scenario == other.scenario and np.array_equal(self._images, other._images)
+
+    def __hash__(self) -> int:
+        return hash((self.scenario, self._images.tobytes()))
+
+    def __repr__(self) -> str:
+        return (
+            f"Relabeling(scenario={self.scenario!r}, input_perms={self.input_perms!r}, "
+            f"output_perms={self.output_perms!r}, party_perm={self.party_perm!r})"
         )
-        return relabeling
 
     # -- structure -----------------------------------------------------------
+
+    @cached_property
+    def _blocks(self) -> tuple:
+        [(slots, sigmas, taus)] = _decoded(self.scenario, self._images[None])
+        return (
+            tuple(map(tuple, sigmas)),
+            tuple(tuple(map(tuple, tau)) for tau in taus),
+            None if slots == list(range(len(slots))) else tuple(slots),
+        )
+
+    @property
+    def input_perms(self) -> tuple[tuple[int, ...], ...]:
+        return self._blocks[0]
+
+    @property
+    def output_perms(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        return self._blocks[1]
+
+    @property
+    def party_perm(self) -> tuple[int, ...] | None:
+        return self._blocks[2]
 
     @property
     def is_identity(self) -> bool:
@@ -147,21 +184,14 @@ class Relabeling:
 
     # -- group operations ------------------------------------------------------
 
-    @cached_property
-    def _images(self) -> np.ndarray:
-        """Images of the single-party events (party, setting, outcome), read-only."""
-        images = _marginal_images(self.scenario, [self])[0]
-        images.setflags(write=False)
-        return images
-
     def inverse(self) -> "Relabeling":
-        return _from_local(self.scenario, np.argsort(self._images))
+        return Relabeling._from_images(self.scenario, np.argsort(self._images))
 
     def __matmul__(self, other: "Relabeling") -> "Relabeling":
         """Composite relabeling: ``self`` applied after ``other``."""
         if self.scenario != other.scenario:
             raise ScenarioMismatchError("cannot compose relabelings of different scenarios")
-        return _from_local(self.scenario, self._images[other._images])
+        return Relabeling._from_images(self.scenario, self._images[other._images])
 
     # -- actions ---------------------------------------------------------------
 
@@ -206,64 +236,31 @@ def outcome_shift(scenario: Scenario, step: int = 1) -> Relabeling:
 # Joint-event permutations are read from these images.
 
 
-def _local_images(d: int, sigma: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Local event images of one party, one row per block: ``sigma`` (k, m)
-    and ``tau`` (k, m, d) give a (k, m·d) table."""
-    count, m = sigma.shape
-    return (sigma[:, :, None] * d + tau[np.arange(count)[:, None], sigma]).reshape(count, m * d)
-
-
 def _marginal_offsets(scenario: Scenario) -> list[int]:
     return [0, *itertools.accumulate(m * scenario.outcomes for m in scenario.settings)]
 
 
-def _marginal_images(scenario: Scenario, relabelings: Sequence[Relabeling]) -> np.ndarray:
-    """Images of the single-party events (party, setting, outcome), one row
-    per relabeling: every party's blocks side by side, settings shifted to
-    their party's columns, images moved from the party's block to its slot's."""
-    count, d, n = len(relabelings), scenario.outcomes, scenario.parties
-    offsets = np.array(_marginal_offsets(scenario))
-    flat, settings = itertools.chain.from_iterable, sum(scenario.settings)
-    firsts = np.repeat(offsets[:-1] // d, scenario.settings)
-    sigmas = np.fromiter(
-        flat(flat(g.input_perms) for g in relabelings), np.int64, count * settings
-    ).reshape(count, settings)
-    taus = np.fromiter(
-        flat(flat(flat(g.output_perms)) for g in relabelings), np.int64, count * settings * d
-    ).reshape(count, settings, d)
-    slots = np.fromiter(
-        flat(g.party_perm or range(n) for g in relabelings), np.int64, count * n
-    ).reshape(count, n)
-    shifts = np.repeat(offsets[slots] - offsets[:-1], np.diff(offsets), axis=1)
-    return _local_images(d, sigmas + firsts, taus) + shifts
-
-
-def _from_local(scenario: Scenario, images: np.ndarray) -> Relabeling:
-    """The relabeling with the given images of the single-party events, which
-    it keeps.
+def _decoded(scenario: Scenario, rows: np.ndarray) -> Iterator[tuple[list, tuple, tuple]]:
+    """The blocks of each row of single-party event images, as lists: the
+    parties' slots, and per party σ and τ.
 
     Party i's events land in the block of one slot j; its setting x goes to
     σ(x) = image // d and its outcome o to τ[σ(x)][o] = image % d, both read
     from the images' positions in that block.
     """
-    d = scenario.outcomes
-    offsets = _marginal_offsets(scenario)
-    slots = (np.searchsorted(offsets, images[offsets[:-1]], side="right") - 1).tolist()
-    input_perms, output_perms = [], []
+    count, d = len(rows), scenario.outcomes
+    offsets = np.array(_marginal_offsets(scenario))
+    slots = np.searchsorted(offsets, rows[:, offsets[:-1]], side="right") - 1
+    sigmas, taus = [], []
     for i, m in enumerate(scenario.settings):
-        local = images[offsets[i] : offsets[i + 1]].reshape(m, d) - offsets[slots[i]]
-        sigma = local[:, 0] // d
+        local = rows[:, offsets[i] : offsets[i + 1]].reshape(count, m, d)
+        local = local - offsets[slots[:, i], None, None]
+        sigma = local[:, :, 0] // d
         tau = np.empty_like(local)
-        tau[sigma] = local % d
-        input_perms.append(tuple(sigma.tolist()))
-        output_perms.append(tuple(map(tuple, tau.tolist())))
-    party_perm = None if slots == list(range(scenario.parties)) else tuple(slots)
-    relabeling = Relabeling._from_blocks(
-        scenario, tuple(input_perms), tuple(output_perms), party_perm
-    )
-    images.setflags(write=False)
-    relabeling.__dict__["_images"] = images  # preset the cached property
-    return relabeling
+        tau[np.arange(count)[:, None], sigma] = local % d
+        sigmas.append(sigma.tolist())
+        taus.append(tau.tolist())
+    return zip(slots.tolist(), zip(*sigmas), zip(*taus))
 
 
 def _joint_perms(scenario: Scenario, images: np.ndarray) -> np.ndarray:
@@ -336,16 +333,13 @@ class SearchCapExceededError(RuntimeError):
     """The relabeling search space exceeds the configured cap."""
 
 
-def _party_candidates(
-    m: int, d: int
-) -> tuple[list[tuple[int, ...]], list[tuple[tuple[int, ...], ...]]]:
-    """All (input_perm, output_perms) blocks of one party, in deterministic
-    order, as the list of input permutations and the list of output
-    permutations.  Block 0 is the identity."""
-    outcome_perms = list(itertools.permutations(range(d)))
-    taus = list(itertools.product(outcome_perms, repeat=m))
-    sigmas = list(itertools.permutations(range(m)))
-    return [s for s in sigmas for _ in taus], taus * len(sigmas)
+def _party_images(m: int, d: int) -> np.ndarray:
+    """Local event images of every (input_perm, output_perms) block of one
+    party, one row per block in deterministic order; block 0 is the identity."""
+    sigmas = np.array(list(itertools.permutations(range(m))), dtype=np.int64)
+    taus = np.array(list(itertools.product(itertools.permutations(range(d)), repeat=m)))
+    # block (sigmas[s], taus[t]) is row s·len(taus) + t
+    return (sigmas[:, None, :, None] * d + taus[:, sigmas].swapaxes(0, 1)).reshape(-1, m * d)
 
 
 def _party_perms(scenario: Scenario, include_party_perms: bool) -> list[tuple[int, ...]]:
@@ -422,9 +416,9 @@ def find_symmetries(
     gathered columns by id, and is matched by exactly the tail combinations
     whose key ``id ∘ g_B⁻¹`` equals that labelling.
 
-    Every block comes from ``itertools.permutations``, so each hit is built
-    without re-validation; the identity is skipped by its index (identity
-    party permutation, head and tail combination 0).
+    Each hit is built as its row of single-party event images: its parties'
+    block images side by side, each moved to the block of its slot.  The
+    identity, always the first match, is dropped.
     """
     cap = _integer(cap, "cap", 0)
     scenario = functional.scenario
@@ -434,12 +428,8 @@ def find_symmetries(
             f"{total} candidate relabelings exceed the cap of {cap}"
         )
     d = scenario.outcomes
-    sigmas, taus = zip(*(_party_candidates(m, d) for m in scenario.settings))
-    counts = [len(s) for s in sigmas]
-    images = [
-        _local_images(d, np.array(s, dtype=np.int64), np.array(t, dtype=np.int64))
-        for s, t in zip(sigmas, taus)
-    ]
+    images = [_party_images(m, d) for m in scenario.settings]
+    counts = [len(local) for local in images]
     # the head is the first k parties, k balancing the two groups' combinations
     k = min(
         range(scenario.parties + 1),
@@ -456,31 +446,30 @@ def find_symmetries(
     for t, key in enumerate(_rows(keys).tolist()):
         tails_by_key.setdefault(key, []).append(t)
 
-    # every combination's input and output permutations, in head and tail row order
-    head_blocks = list(zip(itertools.product(*sigmas[:k]), itertools.product(*taus[:k])))
-    tail_blocks = list(zip(itertools.product(*sigmas[k:]), itertools.product(*taus[k:])))
-
-    identity = tuple(range(scenario.parties))
-    hits: list[Relabeling] = []
-    for pi in _party_perms(scenario, include_party_perms):
-        party_perm = None if pi == identity else pi
+    party_perms = _party_perms(scenario, include_party_perms)
+    matches = []  # (party permutation, head combination, its tail combinations)
+    for p, pi in enumerate(party_perms):
         moved = np.ascontiguousarray(table.transpose(pi).reshape(shape).T)
         for h, rows in enumerate(head):
             gathered = _rows(moved[:, rows])
             labels = np.minimum(np.searchsorted(columns, gathered), len(columns) - 1)
             if not np.array_equal(columns[labels], gathered):
                 continue  # a gathered column is no column of the table
-            head_sigmas, head_taus = head_blocks[h]
-            for t in tails_by_key.get(labels.tobytes(), ()):
-                if party_perm is None and h == t == 0:
-                    continue  # block 0 of every party is the identity
-                tail_sigmas, tail_taus = tail_blocks[t]
-                hits.append(
-                    Relabeling._from_blocks(
-                        scenario, head_sigmas + tail_sigmas, head_taus + tail_taus, party_perm
-                    )
-                )
-    return tuple(hits)
+            tails = tails_by_key.get(labels.tobytes())
+            if tails is not None:
+                matches.append((p, h, tails))
+
+    # each hit's row: every party's block images, moved to the block of its slot
+    perm_ids, heads, tails = zip(*matches)
+    sizes = [len(t) for t in tails]
+    combinations = np.repeat(heads, sizes) * len(tail) + np.concatenate(tails)
+    offsets = np.array(_marginal_offsets(scenario), dtype=np.int64)
+    shifts = np.repeat(offsets[:-1][np.array(party_perms)], np.diff(offsets), axis=1)
+    hits = shifts[np.repeat(perm_ids, sizes)]
+    for i, blocks in enumerate(np.unravel_index(combinations, counts)):
+        hits[:, offsets[i] : offsets[i + 1]] += images[i][blocks]
+    # the first match is the identity: the identity party permutation, block 0 of every party
+    return tuple(Relabeling._from_images(scenario, row) for row in hits[1:])
 
 
 # --- orbit closure and certificates ---------------------------------------------
@@ -537,7 +526,7 @@ def _orbit_closure(
     kept: list[Relabeling] = []
     for lo in range(0, len(generators), step):
         chunk = generators[lo : lo + step]
-        images = _marginal_images(sc, chunk)
+        images = np.array([g._images for g in chunk])
         joint = _joint_perms(sc, images)
         if not (dense[joint] == dense).all():
             raise ValidationError("a supplied generator is not a symmetry of the functional")
@@ -625,7 +614,7 @@ class UniformityCertificate:
 def certify_uniform(
     functional: BellFunctional,
     generators: Sequence[Relabeling],
-    query: JointQuery | LocalQuery,
+    query: JointQuery | LocalQuery | None = None,
 ) -> UniformityCertificate:
     """Build a uniformity certificate from verified symmetry generators.
 
@@ -633,7 +622,8 @@ def certify_uniform(
     a non-symmetry raises :class:`ValidationError`.  The orbit partition is
     the closure of the generated group acting on joint events and on
     single-party events; the certificate keeps the generators that join
-    orbits.
+    orbits.  The orbits do not depend on ``query``, which is only checked
+    and recorded when given.
     """
     gens, joint, marg = _orbit_closure(functional, generators)
     cert = UniformityCertificate(
@@ -643,7 +633,8 @@ def certify_uniform(
         marginal_orbits=marg,
         query=query,
     )
-    cert.certified_bits(query)  # validates the query eagerly
+    if query is not None:
+        cert.certified_bits(query)  # validates the query eagerly
     return cert
 
 
@@ -651,13 +642,8 @@ def certify_all(
     functional: BellFunctional, generators: Sequence[Relabeling]
 ) -> dict[JointQuery | LocalQuery, float]:
     """Certified bits for every joint input and every (party, setting)."""
-    cert = _certify_all_queries(functional, generators)
+    cert = certify_uniform(functional, generators)
     return {q: cert.certified_bits(q) for q in _queries(functional.scenario)}
-
-
-def _certify_all_queries(functional: BellFunctional, generators) -> UniformityCertificate:
-    """A certificate for every query: its orbits do not depend on the query."""
-    return certify_uniform(functional, generators, JointQuery(functional.scenario.input_tuple(0)))
 
 
 def orbit_equality_violation(
@@ -698,16 +684,24 @@ def _largest_spread(values: np.ndarray, ids: np.ndarray) -> float:
 # --- JSON serialization ------------------------------------------------------
 
 def relabeling_to_dict(relabeling: Relabeling) -> dict:
-    return {
-        "party_perm": list(relabeling.party_perm) if relabeling.party_perm else None,
-        "parties": [
-            {
-                "input_perm": list(relabeling.input_perms[i]),
-                "output_perms": [list(p) for p in relabeling.output_perms[i]],
-            }
-            for i in range(relabeling.scenario.parties)
-        ],
-    }
+    return _relabeling_dicts(relabeling.scenario, [relabeling])[0]
+
+
+def _relabeling_dicts(scenario: Scenario, relabelings: Sequence[Relabeling]) -> list[dict]:
+    """``relabeling_to_dict`` of every relabeling, decoded in batches of rows."""
+    step = max(1, _GATHER_ELEMENTS // _marginal_offsets(scenario)[-1])
+    batches = (relabelings[lo : lo + step] for lo in range(0, len(relabelings), step))
+    identity = list(range(scenario.parties))
+    return [
+        {
+            "party_perm": None if slots == identity else slots,
+            "parties": [
+                {"input_perm": sigma, "output_perms": tau} for sigma, tau in zip(sigmas, taus)
+            ],
+        }
+        for batch in batches
+        for slots, sigmas, taus in _decoded(scenario, np.array([g._images for g in batch]))
+    ]
 
 
 def relabeling_from_dict(scenario: Scenario, data: Mapping) -> Relabeling:
@@ -732,7 +726,7 @@ def certificate_to_dict(cert: UniformityCertificate) -> dict:
         }
     return {
         "functional": cert.functional.name,
-        "generators": [relabeling_to_dict(g) for g in cert.generators],
+        "generators": _relabeling_dicts(cert.functional.scenario, cert.generators),
         "joint": blocks[JointQuery],
         "local": blocks[LocalQuery],
         "assumes_unique_maximizer": cert.assumes_unique_maximizer,

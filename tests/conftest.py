@@ -55,6 +55,11 @@ def random_relabeling(scenario: Scenario, rng: np.random.Generator) -> Relabelin
     return Relabeling(scenario, tuple(input_perms), tuple(output_perms))
 
 
+def fields(g: Relabeling):
+    """A relabeling's blocks, the fields it was built from."""
+    return g.input_perms, g.output_perms, g.party_perm
+
+
 def random_small_scenario(rng: np.random.Generator, two_outcome: bool = False) -> Scenario:
     parties = int(rng.integers(1, 4))
     settings = tuple(int(rng.integers(1, 4)) for _ in range(parties))

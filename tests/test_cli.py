@@ -1,5 +1,6 @@
 """Command-line interface: grammar, JSON contracts, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 
@@ -103,6 +104,28 @@ class TestCertify:
         data = json.loads(out)
         assert data["bits"] == pytest.approx(math.log2(3), abs=1e-12)
         assert data["query"] == "party=0,setting=0"
+
+
+class TestSymmetries:
+    # sha256 of the stdout of `bellcert symmetries` before hits were stored as
+    # rows of event images and listed by one batched decode
+    PINNED = {
+        "mermin --n 3": "2cbfa6c563160b1251ea97854d8b4bb72fc603b8454100917f1b276f943862f7",
+        "mermin --n 4": "0e1e23bc3ff6a92d4c1260c9d4004cb3f8f3e5a1d22133669d789592a9ce25c5",
+        "mermin --n 5": "67ffd57c8d6b47002f5ca887ea84f54e9049f83fc360ed2da8ba769e5dba36a8",
+        "chained-modular --m 2 --d 3": (
+            "88a9920089090eeb329e38d68ab4389e0862fe619dbfcea67b0bde0dd827d73e"
+        ),
+        "mermin --n 4 --party-perms": (
+            "3c5ef7d8d691421d3a2230beced6ee8ddef408ce6b39713af588da43d03c8c0c"
+        ),
+    }
+
+    @pytest.mark.parametrize("options", sorted(PINNED))
+    def test_listing_is_pinned(self, capsys, options):
+        code, out, err = run_cli(capsys, "symmetries", "--functional", *options.split())
+        assert code == 0 and not err
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[options]
 
 
 class TestRandomness:

@@ -32,7 +32,13 @@ from bellcert import (
 )
 from bellcert.scenario import JointQuery
 
-from conftest import random_behavior, random_ns_behavior, random_relabeling, random_strategy
+from conftest import (
+    fields,
+    random_behavior,
+    random_ns_behavior,
+    random_relabeling,
+    random_strategy,
+)
 
 
 def random_scenario(rng, two_outcome=False, max_parties=3):
@@ -53,10 +59,6 @@ def random_relabeling_with_parties(scenario, rng):
     g = random_relabeling(scenario, rng)
     pi = perms[int(rng.integers(len(perms)))]
     return Relabeling(scenario, g.input_perms, g.output_perms, pi)
-
-
-def fields(g):
-    return g.input_perms, g.output_perms, g.party_perm
 
 
 @settings(max_examples=300, deadline=None)
@@ -80,24 +82,30 @@ def test_group_law_from_event_images_matches_tuple_law(seed):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_group_law_keeps_the_images_a_checked_relabeling_builds(seed):
-    """``inverse`` and ``@`` store their images on the result, read-only and
+    """``inverse`` and ``@`` keep the images they compute, read-only and
     equal to those of a freshly checked ``Relabeling`` with the same fields;
+    the group law's results equal, hash and print as those tuple-built
+    relabelings; on every pair, equality is equality of the fields; and
     ``is_identity`` read from the images equals the tuple definition."""
     rng = np.random.default_rng(seed)
     sc = random_scenario(rng)
     g = random_relabeling_with_parties(sc, rng)
     h = random_relabeling_with_parties(sc, rng)
-    for got in (g.inverse(), g @ h, g @ g.inverse(), g.inverse() @ g, h @ g @ h.inverse()):
-        assert "_images" in vars(got)  # stored by the group law, not rebuilt
-        fresh = Relabeling(sc, *fields(got))
+    results = [g.inverse(), g @ h, g @ g.inverse(), g.inverse() @ g, h @ g @ h.inverse()]
+    tuple_built = [Relabeling(sc, *fields(got)) for got in results]
+    for got, fresh in zip(results, tuple_built):
         for images in (got._images, fresh._images):
             assert not images.flags.writeable
         assert np.array_equal(got._images, fresh._images)
         assert got._images.dtype == fresh._images.dtype
+        assert got == fresh and hash(got) == hash(fresh) and repr(got) == repr(fresh)
     identity = identity_relabeling(sc)
     spelled_out = Relabeling(
         sc, identity.input_perms, identity.output_perms, tuple(range(sc.parties))
     )
+    pool = [g, h, *results, *tuple_built, identity, spelled_out]
+    for a, b in itertools.product(pool, repeat=2):
+        assert (a == b) == (fields(a) == fields(b))
     for r in (g, h, g.inverse(), g @ h, g @ g.inverse(), identity, spelled_out):
         assert r.is_identity == oracle.is_identity(r)
     assert (g @ g.inverse()).is_identity and identity.is_identity and spelled_out.is_identity

@@ -13,6 +13,7 @@ from bellcert import (
     Relabeling,
     Scenario,
     ValidationError,
+    behavior_from_dict,
     certify_uniform,
     chained_correlator,
     chained_modular,
@@ -24,6 +25,7 @@ from bellcert import (
     functional_to_dict,
     marginal,
     mermin,
+    model_from_dict,
     optimize_violation,
     outcome_shift,
     relabeling_from_dict,
@@ -77,6 +79,11 @@ REJECTED = {
     "correlator-form-get-scalars": lambda: correlators_from_behavior(
         uniform_behavior(SC)
     ).get(0, 0),
+    "relabeling-scalar-blocks": lambda: Relabeling(SC, 5, HALF_BLOCKS[1]),
+    "relabeling-scalar-block": lambda: Relabeling(SC, ((0, 1), 5), HALF_BLOCKS[1]),
+    "relabeling-scalar-party-perm": lambda: Relabeling(
+        SC, ((0, 1), (0, 1)), HALF_BLOCKS[1], party_perm=5
+    ),
 }
 
 
@@ -97,6 +104,21 @@ def test_error_names_the_argument_and_the_value():
 def test_a_non_integer_in_a_document_is_malformed():
     with pytest.raises(ValidationError, match="^malformed relabeling: entry of input permutation"):
         relabeling_from_dict(SC, HALF_DICT)
+
+
+@pytest.mark.parametrize(
+    "read, what",
+    [
+        (functional_from_dict, "functional"),
+        (behavior_from_dict, "behavior"),
+        (model_from_dict, "model"),
+        (lambda data: relabeling_from_dict(SC, data), "relabeling"),
+    ],
+    ids=["functional", "behavior", "model", "relabeling"],
+)
+def test_a_numpy_scalar_document_is_malformed(read, what):
+    with pytest.raises(ValidationError, match=f"^malformed {what}: IndexError"):
+        read(np.int64(3))
 
 
 def test_numpy_integers_are_accepted():

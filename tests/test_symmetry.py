@@ -1,8 +1,10 @@
 """Relabeling actions, symmetry search, and uniformity certificates."""
 
+import copy
 import itertools
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -75,6 +77,14 @@ class TestRelabelingStructure:
     def test_identity(self):
         sc = Scenario((2, 3), 3)
         assert identity_relabeling(sc).is_identity
+
+    def test_copies_and_pickles_are_equal_and_immutable(self):
+        g = find_symmetries(chsh(), include_party_perms=True)[-1]
+        for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert twin == g and hash(twin) == hash(g) and repr(twin) == repr(g)
+            assert not twin._images.flags.writeable
+            with pytest.raises(AttributeError):
+                twin.scenario = None
 
     def test_json_round_trip(self, rng):
         for _ in range(10):

@@ -33,12 +33,11 @@ from bellcert.scenario import marginal
 from bellcert.symmetry import (
     _join,
     _joint_perms,
-    _marginal_images,
     _marginal_offsets,
     orbit_equality_violation,
 )
 
-from conftest import random_ns_behavior, random_relabeling
+from conftest import fields, random_ns_behavior, random_relabeling
 from convention_oracle import _slot
 
 SCENARIOS = [
@@ -242,17 +241,25 @@ def party_symmetrized_functionals(draw, scenarios=SCENARIOS + [FOUR_PARTIES]):
 @settings(max_examples=25, deadline=None)
 @given(party_symmetrized_functionals(), st.booleans())
 def test_unchecked_hits_equal_checked_relabelings(functional, include_party_perms):
-    """Every hit, built without the checks of ``Relabeling.__post_init__``,
-    equals and hashes as the checked relabeling of the same blocks, with the
-    same Python types, and none is the identity."""
+    """Every hit, built from its row without the checks of the
+    ``Relabeling`` constructor, has the row the triple loop builds from its
+    fields, and equals, hashes and prints as the tuple-built relabeling of
+    the same blocks, with the same Python types; none is the identity.  On
+    every pair among the first hits, their tuple-built copies and the
+    identity, equality is equality of the fields."""
     sc = functional.scenario
-    for g in find_symmetries(functional, include_party_perms=include_party_perms):
-        checked = Relabeling(sc, g.input_perms, g.output_perms, g.party_perm)
+    hits = find_symmetries(functional, include_party_perms=include_party_perms)
+    tuple_built = [Relabeling(sc, *fields(g)) for g in hits]
+    for g, checked in zip(hits, tuple_built):
+        assert np.array_equal(g._images, loop_marginal_event_perm(g))
         assert g == checked
         assert hash(g) == hash(checked)
         assert repr(g) == repr(checked)
         assert not checked.is_identity
         assert include_party_perms or g.party_perm is None
+    pool = [*hits[:12], *tuple_built[:12], identity_relabeling(sc)]
+    for g, h in itertools.product(pool, repeat=2):
+        assert (g == h) == (fields(g) == fields(h))
 
 
 def seeded_symmetric_functional(scenario):
@@ -384,16 +391,15 @@ def test_batched_event_perms_match_the_loops(scenario):
         if all(scenario.settings[i] == scenario.settings[j] for i, j in enumerate(pi)):
             g = random_relabeling(scenario, rng)
             gens.append(Relabeling(scenario, g.input_perms, g.output_perms, pi))
-    marginal = _marginal_images(scenario, gens)
+    marginal = np.array([g._images for g in gens])
     joint = _joint_perms(scenario, marginal)
     assert np.array_equal(joint, [loop_joint_event_perm(g) for g in gens])
     assert np.array_equal(marginal, [loop_marginal_event_perm(g) for g in gens])
     for g in gens:
         assert all(map(np.array_equal, g.event_maps, loop_event_maps(g)))
-    marginal = _marginal_images(scenario, [])
+    marginal = np.empty((0, _marginal_offsets(scenario)[-1]), dtype=np.int64)
     joint = _joint_perms(scenario, marginal)
     assert joint.shape == (0, scenario.num_inputs * scenario.num_outcomes)
-    assert marginal.shape == (0, _marginal_offsets(scenario)[-1])
 
 
 @settings(max_examples=50, deadline=None)
