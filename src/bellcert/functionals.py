@@ -27,16 +27,19 @@ from typing import Mapping
 import numpy as np
 
 from .scenario import (
+    _GATHER_ELEMENTS,
     Behavior,
     Scenario,
-    ScenarioMismatchError,
     ValidationError,
+    _choice,
+    _correlator_key,
     _correlator_place,
+    _index_rows,
     _integer,
+    _items,
     _paired,
     _reading,
     _strategy_outcomes,
-    _subset_assignment,
     _subset_sums,
     _walsh_hadamard,
 )
@@ -62,17 +65,6 @@ def _as_dyadic(value) -> Fraction:
 
 def _log2_den(frac: Fraction) -> int:
     return frac.denominator.bit_length() - 1
-
-
-def _index_rows(rows: list, limits: tuple[int, ...], what: str) -> np.ndarray:
-    """Rows of integer indices as a (len(rows), len(limits)) int64 array,
-    column j checked against 0 <= index < limits[j]."""
-    digits = np.array(rows or np.zeros((0, len(limits)), np.int64))
-    if digits.dtype.kind not in "iu" or digits.shape != (len(rows), len(limits)):
-        raise ValidationError(f"every {what} needs {len(limits)} integer indices")
-    if ((digits < 0) | (digits >= np.array(limits))).any():
-        raise ValidationError(f"a {what} is out of range {limits}")
-    return digits
 
 
 def _exact_dtype(magnitude: int):
@@ -117,9 +109,10 @@ class BellFunctional:
         orientation: Orientation = "max",
         name: str = "",
     ) -> None:
+        items = _items(coefficients, "coefficients")
         limits = (scenario.num_inputs, scenario.num_outcomes)
-        events = _index_rows(list(coefficients), limits, "(x, a) key") @ (limits[1], 1)
-        fracs = [_as_dyadic(c) for c in coefficients.values()]
+        events = _index_rows([key for key, _ in items], limits, "(x, a) key") @ (limits[1], 1)
+        fracs = [_as_dyadic(c) for _, c in items]
         nums, exps = [f.numerator for f in fracs], [_log2_den(f) for f in fracs]
         self._set(scenario, *_sum_terms(scenario, events, nums, exps), orientation, name)
 
@@ -132,8 +125,7 @@ class BellFunctional:
         return functional
 
     def _set(self, scenario, table, log2_den, orientation, name) -> None:
-        if orientation not in ("max", "min"):
-            raise ValidationError(f"orientation must be 'max' or 'min', got {orientation!r}")
+        orientation = _choice(orientation, "orientation", ("max", "min"))
         # cancel the powers of two every entry shares with 2**log2_den
         bits = int(np.bitwise_or.reduce(table, axis=None))
         shift = min(log2_den, (bits & -bits).bit_length() - 1) if bits else log2_den
@@ -187,10 +179,7 @@ class BellFunctional:
 
 def evaluate(functional: BellFunctional, behavior: Behavior) -> float:
     """Value sum c(a,x) P(a|x) of the functional on a behavior."""
-    if functional.scenario != behavior.scenario:
-        raise ScenarioMismatchError(
-            f"functional scenario {functional.scenario} != behavior scenario {behavior.scenario}"
-        )
+    functional.scenario._match(behavior.scenario, "functional and behavior")
     return float(np.sum(functional.float_table * behavior.table))
 
 
@@ -220,21 +209,16 @@ def from_correlator_terms(
     assignment, which makes the coefficient table the canonical symmetric
     representative of the functional.
     """
-    if scenario.outcomes != 2:
-        raise ValidationError("correlator terms require a two-outcome scenario")
+    scenario._two_outcomes("a functional from correlator terms")
     n = scenario.parties
     places, shares = [], []
-    for (parties, assignment), weight in terms.items():
+    for key, weight in _items(terms, "correlator terms"):
+        parties, assignment = _correlator_key(scenario, key)
         weight = _as_dyadic(weight)
         if weight == 0:
             continue
-        parties, assignment = _subset_assignment(scenario, parties, assignment)
         n_ext = math.prod(scenario.settings[i] for i in range(n) if i not in parties)
-        share = weight / n_ext  # must stay dyadic
-        if share.denominator & (share.denominator - 1):
-            raise ValidationError(
-                f"weight for {parties} cannot be spread dyadically over {n_ext} inputs"
-            )
+        share = _as_dyadic(weight / n_ext)  # the weight spread over n_ext inputs
         places.append(_correlator_place(n, parties, assignment))
         shares.append(share)
     log2_den = max(map(_log2_den, shares), default=0)
@@ -259,8 +243,7 @@ def correlator_terms(
     functional on all non-signaling behaviors.
     """
     scenario = functional.scenario
-    if scenario.outcomes != 2:
-        raise ValidationError("correlator view requires a two-outcome scenario")
+    scenario._two_outcomes("the correlator view")
     n = scenario.parties
     peak = int(np.abs(functional.table).max(initial=0))
     hat = functional.table.astype(_exact_dtype(peak * scenario.num_inputs << n))
@@ -392,10 +375,6 @@ class LocalBoundReport:
     maximizers: tuple[Strategy, ...]
 
 
-# elements of the largest array one contraction step builds at a time
-_BLOCK_ELEMENTS = 1 << 16
-
-
 def _prefix_blocks(V: np.ndarray, W: np.ndarray | None = None, x: int = 0):
     """The party-paired table contracted with every deterministic strategy of
     all parties but the last, yielded as (n, M_{N-1}, d) blocks over
@@ -406,7 +385,7 @@ def _prefix_blocks(V: np.ndarray, W: np.ndarray | None = None, x: int = 0):
     ``V`` has shape (n, M_k, d, M_{k+1}, d, ...): one row per strategy of
     the parties before k, the table contracted with it; ``W`` (n, t, M_{k+1},
     d, ...) sums it over settings 0..x-1 for t partial strategies of party k.
-    While party k's last block would exceed ``_BLOCK_ELEMENTS``, the first
+    While party k's last block would exceed ``_GATHER_ELEMENTS``, the first
     axis of ``W`` longer than 1 is halved before the next setting is added."""
     if W is None:
         if V.ndim == 3:
@@ -416,7 +395,7 @@ def _prefix_blocks(V: np.ndarray, W: np.ndarray | None = None, x: int = 0):
     n, m, d = V.shape[:3]
     if x == m:
         yield from _prefix_blocks(W.reshape(-1, *V.shape[3:]))
-    elif W.size * d ** (m - x) > _BLOCK_ELEMENTS and W.shape[:2] != (1, 1):
+    elif W.size * d ** (m - x) > _GATHER_ELEMENTS and W.shape[:2] != (1, 1):
         if n > 1:
             halves = (V[: n // 2], W[: n // 2]), (V[n // 2 :], W[n // 2 :])
         else:

@@ -33,10 +33,13 @@ from .scenario import (
     Scenario,
     ScenarioMismatchError,
     ValidationError,
+    _entries,
     _integer,
+    _numbers,
     _pair_axes,
     _paired,
     _reading,
+    _real,
     _unpaired,
 )
 
@@ -56,7 +59,7 @@ PAULIS = np.array(
 
 def qubit_projectors(bloch: Sequence[float]) -> np.ndarray:
     """Projectors of the +-1 observable along a Bloch direction, outcome +1 first."""
-    n = np.asarray(bloch, dtype=float)
+    n = _numbers(bloch, "Bloch vector")
     if n.shape != (3,):
         raise ValidationError("a Bloch vector has three components")
     norm = float(np.linalg.norm(n))
@@ -85,7 +88,7 @@ class QuantumModel:
 
     def __post_init__(self) -> None:
         sc = self.scenario
-        state = np.array(self.state, dtype=complex).reshape(-1)
+        state = _numbers(self.state, "state", complex).reshape(-1)
         norm = float(np.linalg.norm(state))
         if not abs(norm - 1.0) <= STATE_NORM_TOL:
             raise ValidationError(f"state norm {norm!r} is not 1")
@@ -109,10 +112,10 @@ class QuantumModel:
         object.__setattr__(self, "state", state)
         object.__setattr__(self, "measurements", tuple(meas))
         if self.bloch is not None:
-            frozen = tuple(tuple(np.array(v, dtype=float) for v in p) for p in self.bloch)
-            for v in (v for per_party in frozen for v in per_party):
-                v.setflags(write=False)
-            object.__setattr__(self, "bloch", frozen)
+            frozen = [_numbers(p, "Bloch vectors") for p in _entries(self.bloch, "Bloch vectors")]
+            for per_party in frozen:
+                per_party.setflags(write=False)  # first, so that every row view is read-only
+            object.__setattr__(self, "bloch", tuple(tuple(p) for p in frozen))
 
     @cached_property
     def local_dims(self) -> tuple[int, ...]:
@@ -155,14 +158,14 @@ def qubit_model(
 ) -> QuantumModel:
     """Build a qubit model from Bloch vectors (one per party and setting)."""
     measurements = _qubit_measurements(scenario, bloch_vectors)
-    return QuantumModel(scenario, np.asarray(state, complex), measurements, bloch=bloch_vectors)
+    return QuantumModel(scenario, state, measurements, bloch=bloch_vectors)
 
 
 def _qubit_measurements(scenario: Scenario, bloch_vectors) -> tuple:
     """Projectors of checked Bloch vectors, per party and setting."""
-    if scenario.outcomes != 2:
-        raise ValidationError("qubit models are two-outcome models")
-    return tuple(tuple(qubit_projectors(v) for v in per_party) for per_party in bloch_vectors)
+    scenario._two_outcomes("a qubit model")
+    parties = _entries(bloch_vectors, "Bloch vectors")
+    return tuple(tuple(map(qubit_projectors, _entries(p, "Bloch vectors"))) for p in parties)
 
 
 def phase_measurement_model(
@@ -179,14 +182,12 @@ def phase_measurement_model(
     marginals are exactly uniform.  The standard near-optimal model for the
     chained functionals with d outcomes.
     """
-    if len(alice_phases) != m or len(bob_phases) != m:
-        raise ValidationError("need one phase per setting and party")
     scenario = Scenario((m, m), d)
+    phases = _numbers([_entries(p, "phases", m) for p in (alice_phases, bob_phases)], "phases")
     k = np.arange(d)
     state = np.zeros(d * d, dtype=complex)
     state[k * d + k] = 1 / math.sqrt(d)
     # shift[i, x, a, 0] = a + phase of party i's setting x
-    phases = np.array([alice_phases, bob_phases], dtype=float)
     shift = k[:, None] + phases[..., None, None]
     vecs = np.exp(2j * np.pi * k * shift / d) / math.sqrt(d)
     vecs[1] = vecs[1].conj()
@@ -211,19 +212,18 @@ def _party_stacks(
 ) -> list[np.ndarray]:
     """Each party's projectors as one (1, settings * outcomes, D, D) array: the one
     structural check of a measurement list, raising ScenarioMismatchError."""
+    measurements = _entries(measurements, "measurements")
     if len(measurements) != sc.parties:
         raise ScenarioMismatchError("need one measurement list per party")
     stacks = []
     for i, per_setting in enumerate(measurements):
+        per_setting = _entries(per_setting, f"measurements of party {i}")
         if len(per_setting) != sc.settings[i]:
             raise ScenarioMismatchError(f"party {i} needs {sc.settings[i]} measurements")
-        blocks = []
-        for x, stack in enumerate(per_setting):
-            try:
-                blocks.append(np.asarray(stack, dtype=complex))
-            except (TypeError, ValueError) as exc:
-                msg = f"measurement of party {i}, setting {x} is not an array of numbers"
-                raise ScenarioMismatchError(msg) from exc
+        blocks = [
+            _numbers(m, f"measurement of party {i}, setting {x}", complex, ScenarioMismatchError)
+            for x, m in enumerate(per_setting)
+        ]
         shape = (sc.outcomes,) + blocks[0].shape[-1:] * 2
         for x, block in enumerate(blocks):
             if block.shape != shape or not block.size:
@@ -413,18 +413,12 @@ def optimize_violation(
     index.  Results are reproducible given ``seed``.
     """
     sc = functional.scenario
-    if sc.outcomes != 2:
-        raise ValidationError(
-            "the see-saw optimizer handles two-outcome qubit scenarios only; "
-            "use behavior_from_model to evaluate explicit models"
-        )
+    sc._two_outcomes("the qubit see-saw optimizer")
     dim = 2**sc.parties
     if dim > MAX_QUBIT_DIMENSION:
         raise ValidationError(f"total dimension {dim} exceeds {MAX_QUBIT_DIMENSION}")
     restarts, max_iters = _integer(restarts, "restarts", 1), _integer(max_iters, "max_iters", 1)
-    seed = _integer(seed, "seed", 0)
-    if not tol > 0:
-        raise ValidationError(f"tol must be positive, got {tol}")
+    seed, tol = _integer(seed, "seed", 0), _real(tol, "tol", positive=True)
 
     starts = _seeded_starts(sc, seed, restarts)
     final, iterations, converged, traces = _seesaw(functional, starts, tol, max_iters)

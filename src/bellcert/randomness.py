@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .scenario import Behavior, JointQuery, LocalQuery, ValidationError, marginal
+from .scenario import Behavior, JointQuery, LocalQuery, _choice, _real, marginal
 from .symmetry import UniformityCertificate
 
 Query = JointQuery | LocalQuery
@@ -37,12 +37,8 @@ class RandomnessReport:
     assumption: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("observed", "certified"):
-            raise ValidationError(f"unknown report kind {self.kind!r}")
-        if not 0.0 < self.guessing_probability <= 1.0:
-            raise ValidationError(
-                f"guessing probability {self.guessing_probability} outside (0, 1]"
-            )
+        _choice(self.kind, "report kind", ("observed", "certified"))
+        _real(self.guessing_probability, "guessing probability", positive=True, high=1)
 
 
 def guessing_probability(behavior: Behavior, x: Sequence[int] | int) -> float:
@@ -52,19 +48,15 @@ def guessing_probability(behavior: Behavior, x: Sequence[int] | int) -> float:
 
 def min_entropy(p_guess: float) -> float:
     """Randomness in bits: -log2 of a guessing probability."""
-    if not 0.0 < p_guess <= 1.0:
-        raise ValidationError(f"guessing probability {p_guess} outside (0, 1]")
-    return -math.log2(p_guess)
+    return -math.log2(_real(p_guess, "guessing probability", positive=True, high=1))
 
 
 def observed_report(behavior: Behavior, query: Query) -> RandomnessReport:
     """Observed randomness of a behavior at a joint or single-party query."""
     if isinstance(query, JointQuery):
         p = guessing_probability(behavior, query.settings)
-    elif isinstance(query, LocalQuery):
-        p = float(marginal(behavior, (query.party,), (query.setting,)).max())
     else:
-        raise ValidationError(f"unsupported query {query!r}")
+        p = float(marginal(behavior, (query.party,), (query.setting,)).max())
     return RandomnessReport(
         query=query,
         guessing_probability=p,

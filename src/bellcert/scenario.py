@@ -28,7 +28,7 @@ import itertools
 import math
 import operator
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
@@ -37,6 +37,9 @@ import numpy as np
 
 NORMALIZATION_TOL = 1e-9
 NO_SIGNALING_TOL = 1e-7
+# upper bound on the elements of one batched array: the local_bound contraction,
+# the generator pass of certification and the JSON listing work in chunks of this size
+_GATHER_ELEMENTS = 1 << 16
 
 
 class ValidationError(ValueError):
@@ -51,23 +54,23 @@ class SignalingWarning(UserWarning):
     """A marginal was requested from a behavior that signals across parties."""
 
 
-class _NotAnInteger(ValidationError):
-    """A count or index that is not an integer; in a document, a malformed entry."""
+class _Malformed(ValidationError):
+    """A data argument of the wrong kind (not an integer, a sequence, a mapping or
+    numbers); in a document, a malformed entry."""
 
 
 def _integer(value, what: str, low: int | None = None, high: int | None = None) -> int:
     """``value`` as an int in ``low <= value < high`` (no bound where None), else
     raise ValidationError naming ``what`` and the value.  Anything with
     ``__index__`` but a bool is an integer: numpy integers are, floats are not."""
-    integral = type(value) is int or (
-        hasattr(type(value), "__index__") and not isinstance(value, bool)
-    )
-    if integral:
-        value = value if type(value) is int else operator.index(value)
-        if (low is None or value >= low) and (high is None or value < high):
-            return value
+    integral = type(value) is int
+    if not integral and not isinstance(value, bool):
+        with suppress(TypeError):  # no __index__, or a numpy array that is not one integer
+            value, integral = operator.index(value), True
+    if integral and (low is None or value >= low) and (high is None or value < high):
+        return value
     span = "" if low is None else f" >= {low}" if high is None else f" in {low}..{high - 1}"
-    error = ValidationError if integral else _NotAnInteger
+    error = ValidationError if integral else _Malformed
     raise error(f"{what} must be an integer{span}, got {value!r}")
 
 
@@ -76,10 +79,70 @@ def _entries(value, what: str, length: int | None = None) -> tuple:
     try:
         entries = tuple(value)
     except TypeError:
-        raise ValidationError(f"{what} must be a sequence, got {value!r}") from None
+        raise _Malformed(f"{what} must be a sequence, got {value!r}") from None
     if length is not None and len(entries) != length:
         raise ValidationError(f"{what} must have {length} entries, got {value!r}")
     return entries
+
+
+def _index_rows(rows: list, limits: tuple[int, ...], what: str) -> np.ndarray:
+    """Rows of integer indices as a (len(rows), len(limits)) int64 array,
+    column j checked against 0 <= index < limits[j]."""
+    digits = np.zeros(0)
+    with suppress(ValueError):  # ragged nesting
+        digits = np.array(rows or np.zeros((0, len(limits)), np.int64))
+    if digits.dtype.kind not in "iu" or digits.shape != (len(rows), len(limits)):
+        raise ValidationError(f"every {what} needs {len(limits)} integer indices")
+    if ((digits < 0) | (digits >= np.array(limits))).any():
+        raise ValidationError(f"a {what} is out of range {limits}")
+    return digits.astype(np.int64, copy=False)
+
+
+def _items(value, what: str) -> list[tuple]:
+    """A mapping argument's (key, value) pairs; anything else raises ValidationError."""
+    try:
+        return list(value.items())
+    except (AttributeError, TypeError):
+        raise _Malformed(f"{what} must be a mapping, got {value!r}") from None
+
+
+def _numbers(value, what: str, dtype: type = float, error: type = _Malformed) -> np.ndarray:
+    """``value`` as a new array of ``dtype`` (float or complex), else raise ``error``."""
+    kinds = "iufc" if dtype is complex else "iuf"
+    with suppress(TypeError, ValueError, OverflowError):
+        array = np.asarray(value)  # numpy would read None as NaN
+        if array.dtype.kind in kinds or array.dtype.kind == "O" and None not in array.flat:
+            return array.astype(dtype)
+    raise error(f"{what} is not an array of numbers")
+
+
+def _real(value, what: str, positive: bool = False, high: float = math.inf) -> float:
+    """``value`` as a float, above 0 if ``positive``, at most ``high``, never NaN."""
+    with suppress(ValidationError):
+        number = _numbers(value, what)
+        if number.ndim == 0 and (number > 0 or not positive) and number <= high:
+            return float(number)
+    span = "positive" if positive else "a real number"
+    span += f" and at most {high:g}" if high < math.inf else ""
+    raise ValidationError(f"{what} must be {span}, got {value!r}")
+
+
+def _choice(value, what: str, options: tuple):
+    """``value`` if it is one of ``options``: labels, or False and True for a flag."""
+    with suppress(TypeError):  # unhashable
+        if value in frozenset(options):
+            return value
+    options = " or ".join(map(repr, options))
+    raise ValidationError(f"{what} must be {options}, got {value!r}")
+
+
+def _mixed_radix(digits, what: str, radices: Sequence[int], strides: Sequence[int]) -> int:
+    """The flat index of one ``what`` ("setting" or "outcome") per party."""
+    digits = _entries(digits, f"{what}s", len(radices))
+    index = 0
+    for i, (v, r, s) in enumerate(zip(digits, radices, strides)):
+        index += _integer(v, f"{what} of party {i}", 0, r) * s
+    return index
 
 
 def outcome_sign(index: int) -> int:
@@ -120,6 +183,14 @@ class Scenario:
     def num_outcomes(self) -> int:
         return self.outcomes**self.parties
 
+    def _two_outcomes(self, what: str) -> None:
+        if self.outcomes != 2:
+            raise ValidationError(f"{what} requires a two-outcome scenario")
+
+    def _match(self, other: "Scenario", what: str) -> None:
+        if other != self:
+            raise ScenarioMismatchError(f"scenarios of {what} differ: {self} != {other}")
+
     @cached_property
     def input_strides(self) -> tuple[int, ...]:
         return tuple(math.prod(self.settings[i + 1 :]) for i in range(self.parties))
@@ -131,12 +202,7 @@ class Scenario:
         )
 
     def input_index(self, x: Sequence[int]) -> int:
-        if len(x) != self.parties:
-            raise ValidationError(f"joint input needs {self.parties} entries, got {len(x)}")
-        idx = 0
-        for i, (xi, mi) in enumerate(zip(x, self.settings)):
-            idx += _integer(xi, f"setting of party {i}", 0, mi) * self.input_strides[i]
-        return idx
+        return _mixed_radix(x, "setting", self.settings, self.input_strides)
 
     def input_tuple(self, index: int) -> tuple[int, ...]:
         index = _integer(index, "joint input index", 0, self.num_inputs)
@@ -145,12 +211,7 @@ class Scenario:
         )
 
     def outcome_index(self, a: Sequence[int]) -> int:
-        if len(a) != self.parties:
-            raise ValidationError(f"joint outcome needs {self.parties} entries, got {len(a)}")
-        idx = 0
-        for i, (ai, stride) in enumerate(zip(a, self.outcome_strides)):
-            idx += _integer(ai, f"outcome of party {i}", 0, self.outcomes) * stride
-        return idx
+        return _mixed_radix(a, "outcome", (self.outcomes,) * self.parties, self.outcome_strides)
 
     def outcome_tuple(self, index: int) -> tuple[int, ...]:
         index = _integer(index, "joint outcome index", 0, self.num_outcomes)
@@ -174,8 +235,7 @@ class Scenario:
     @cached_property
     def outcome_signs(self) -> np.ndarray:
         """Per-party +-1 labels of every joint outcome (two-outcome scenarios only)."""
-        if self.outcomes != 2:
-            raise ValidationError("outcome signs are defined only for d = 2")
+        self._two_outcomes("the +-1 outcome labelling")
         signs = 1 - 2 * self.outcome_digits
         signs.setflags(write=False)
         return signs
@@ -302,7 +362,7 @@ class Behavior:
     table: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.table, dtype=float)
+        arr = _numbers(self.table, "table")
         expected = (self.scenario.num_inputs, self.scenario.num_outcomes)
         if arr.shape != expected:
             raise ValidationError(
@@ -341,7 +401,7 @@ class Behavior:
 
 def behavior_from_table(scenario: Scenario, table) -> Behavior:
     """Validate a raw table (any array-like of matching total size) into a Behavior."""
-    arr = np.asarray(table, dtype=float)
+    arr = _numbers(table, "table")
     size = scenario.num_inputs * scenario.num_outcomes
     if arr.size != size:
         raise ValidationError(
@@ -360,22 +420,11 @@ def uniform_behavior(scenario: Scenario) -> Behavior:
 def _strategy_digits(scenario: Scenario, strategy) -> list[np.ndarray]:
     """Each party's outcome index at each of its settings, checked: one
     integer array of length M_i per party, entries in 0..d-1."""
-    if len(strategy) != scenario.parties:
-        raise ValidationError("strategy needs one setting->outcome map per party")
-    digits = []
-    for i, m in enumerate(scenario.settings):
-        try:
-            outcomes = np.asarray(strategy[i])
-        except ValueError:  # ragged nesting
-            outcomes = np.zeros(0)
-        if outcomes.dtype.kind not in "iu" or outcomes.shape != (m,) or not (
-            (0 <= outcomes) & (outcomes < scenario.outcomes)
-        ).all():
-            raise ValidationError(
-                f"party {i} needs one outcome in 0..{scenario.outcomes - 1} per setting"
-            )
-        digits.append(outcomes.astype(np.int64))
-    return digits
+    strategy = _entries(strategy, "strategy", scenario.parties)
+    return [
+        _index_rows([outcomes], (scenario.outcomes,) * m, f"strategy row of party {i}")[0]
+        for i, (outcomes, m) in enumerate(zip(strategy, scenario.settings))
+    ]
 
 
 def _strategy_outcomes(scenario: Scenario, strategy) -> np.ndarray:
@@ -413,23 +462,27 @@ class CorrelatorForm:
     values: Mapping[tuple[tuple[int, ...], tuple[int, ...]], float]
 
     def __post_init__(self) -> None:
-        if self.scenario.outcomes != 2:
-            raise ValidationError("correlator form requires a two-outcome scenario")
-        cleaned = {}
-        for key, v in self.values.items():
-            key = _subset_assignment(self.scenario, *_entries(key, "correlator key", 2))
-            v = float(v)
-            if abs(v) > 1 + NORMALIZATION_TOL:
-                raise ValidationError(f"correlator {key} = {v} outside [-1, 1]")
-            cleaned[key] = min(1.0, max(-1.0, v))
+        self.scenario._two_outcomes("a correlator form")
+        items = _items(self.values, "correlators")
+        keys = [_correlator_key(self.scenario, key) for key, _ in items]
         expected = set(self.scenario.subset_setting_keys())
-        missing = len(expected - cleaned.keys())
-        extra = len(self.values) - len(expected) + missing
+        missing = len(expected - set(keys))
+        extra = len(items) - len(expected) + missing
         if missing or extra:
             raise ValidationError(
                 f"correlator keys do not match scenario ({missing} missing, {extra} unexpected)"
             )
-        object.__setattr__(self, "values", cleaned)
+        values = [_real(v, f"correlator {key}") for key, (_, v) in zip(keys, items)]
+        self._keep(self.scenario, keys, values)
+
+    def _keep(self, scenario: Scenario, keys: list, values) -> "CorrelatorForm":
+        """Store scenario and values, clamped to [-1, 1] within tolerance; keys are not read."""
+        values = np.asarray(values, dtype=float)
+        for k in np.flatnonzero(~(np.abs(values) <= 1 + NORMALIZATION_TOL))[:1]:
+            raise ValidationError(f"correlator {keys[k]} = {values[k]} outside [-1, 1]")
+        object.__setattr__(self, "scenario", scenario)
+        object.__setattr__(self, "values", dict(zip(keys, np.clip(values, -1.0, 1.0).tolist())))
+        return self
 
     def get(self, parties: Sequence[int], settings: Sequence[int]) -> float:
         # the one valid key not stored is the empty subset's: the implicit 1
@@ -444,21 +497,20 @@ def correlators_from_behavior(behavior: Behavior) -> CorrelatorForm:
     with every individual term.
     """
     scenario = behavior.scenario
-    if scenario.outcomes != 2:
-        raise ValidationError("correlators require a two-outcome scenario")
+    scenario._two_outcomes("the correlator view")
     n = scenario.parties
     hat = _walsh_hadamard(behavior.table.reshape(scenario.settings + (2,) * n), n)
-    values: dict[tuple[tuple[int, ...], tuple[int, ...]], float] = {}
+    keys, means = [], []
     for parties, summed in itertools.islice(_subset_sums(scenario, hat), 1, None):
-        means = (summed / (scenario.num_inputs // summed.size)).ravel().tolist()
-        values.update(zip(((parties, a) for a in np.ndindex(summed.shape)), means))
-    return CorrelatorForm(scenario, values)
+        keys.extend((parties, a) for a in np.ndindex(summed.shape))
+        means.append((summed / (scenario.num_inputs // summed.size)).ravel())
+    return object.__new__(CorrelatorForm)._keep(scenario, keys, np.concatenate(means))
 
 
 def behavior_from_correlators(form: CorrelatorForm) -> Behavior:
     """Rebuild the probability table from a complete set of correlators.
 
-    Raises :class:`ValidationError` naming the offending (outcome, input)
+    Raises :class:`ValidationError` naming the offending (input, outcome)
     pair if any reconstructed probability is negative beyond tolerance.
     """
     scenario = form.scenario
@@ -473,13 +525,6 @@ def behavior_from_correlators(form: CorrelatorForm) -> Behavior:
         hat[(Ellipsis,) + tuple(int(i in parties) for i in range(n))] = block
     table = _walsh_hadamard(hat, n).reshape(scenario.num_inputs, scenario.num_outcomes)
     table /= scenario.num_outcomes
-    low = table.min()
-    if low < -NORMALIZATION_TOL:
-        x, a = np.unravel_index(int(table.argmin()), table.shape)
-        raise ValidationError(
-            f"correlators give negative probability {low:.6e} for outcome "
-            f"{scenario.outcome_tuple(a)} at input {scenario.input_tuple(x)}"
-        )
     return Behavior(scenario, table)
 
 
@@ -494,6 +539,11 @@ def _subset_rows(behavior: Behavior, parties: tuple[int, ...]) -> np.ndarray:
     summed = shaped.sum(axis=tuple(1 + i for i in others))
     summed = summed.reshape(scenario.settings + (-1,)).transpose([*parties, *others, n])
     return summed.reshape(summed.shape[: len(parties)] + (-1, summed.shape[-1]))
+
+
+def _correlator_key(scenario: Scenario, key) -> tuple[tuple, tuple]:
+    """A (parties, settings) correlator key, read and range-checked."""
+    return _subset_assignment(scenario, *_entries(key, "correlator key", 2))
 
 
 def _subset_assignment(scenario: Scenario, parties, settings) -> tuple[tuple, tuple]:
@@ -529,6 +579,7 @@ def is_no_signaling(
     Returns ``(ok, worst)`` where ``worst`` is the largest deviation found
     between marginals that should coincide.
     """
+    tol = _real(tol, "tol")
     n = behavior.scenario.parties
     proper = itertools.islice(_party_subsets(n), 1, 2**n - 1)
     worst = max(
@@ -552,6 +603,7 @@ def marginal(
     returned anyway.
     """
     parties, settings = _subset_assignment(behavior.scenario, parties, settings)
+    tol = _real(tol, "tol")
     if not parties:
         raise ValidationError("party subset must be nonempty")
     rows = _subset_rows(behavior, parties)[settings]
@@ -563,14 +615,14 @@ def marginal(
 
 @contextmanager
 def _reading(what: str):
-    """Read a JSON document: a missing key, a wrong type or a non-integer count
-    raises "malformed <what>: ..."; domain errors pass through unchanged."""
+    """Read a JSON document: a missing key, a wrong type or an entry of the wrong
+    kind raises "malformed <what>: ..."; domain errors pass through unchanged."""
     try:
         yield
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         if type(exc) is ValidationError:
             raise
-        detail = exc if isinstance(exc, _NotAnInteger) else repr(exc)
+        detail = exc if isinstance(exc, _Malformed) else repr(exc)
         raise ValidationError(f"malformed {what}: {detail}") from exc
 
 

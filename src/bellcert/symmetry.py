@@ -33,6 +33,7 @@ import numpy as np
 
 from .functionals import BellFunctional, Strategy
 from .scenario import (
+    _GATHER_ELEMENTS,
     NO_SIGNALING_TOL,
     Behavior,
     JointQuery,
@@ -40,6 +41,7 @@ from .scenario import (
     Scenario,
     ScenarioMismatchError,
     ValidationError,
+    _choice,
     _entries,
     _integer,
     _paired,
@@ -52,9 +54,6 @@ from .scenario import (
 )
 
 DEFAULT_SEARCH_CAP = 10**8
-# upper bound on the elements of one batched table of event images: the
-# generator pass of certification and the JSON listing work in chunks of this size
-_GATHER_ELEMENTS = 1 << 16
 
 
 def _check_perm(perm: Sequence[int], size: int, what: str) -> tuple[int, ...]:
@@ -80,16 +79,12 @@ class Relabeling:
 
     def __init__(self, scenario: Scenario, input_perms, output_perms, party_perm=None) -> None:
         sc, d = scenario, scenario.outcomes
-        input_perms = _entries(input_perms, "input permutations")
-        output_perms = _entries(output_perms, "output permutations")
-        if len(input_perms) != sc.parties or len(output_perms) != sc.parties:
-            raise ValidationError("need one input and one output permutation block per party")
+        input_perms = _entries(input_perms, "input permutations", sc.parties)
+        output_perms = _entries(output_perms, "output permutations", sc.parties)
         blocks = []
         for i, (sigma, per_setting) in enumerate(zip(input_perms, output_perms)):
             sigma = _check_perm(sigma, sc.settings[i], f"input permutation of party {i}")
-            per_setting = _entries(per_setting, f"outcome permutations of party {i}")
-            if len(per_setting) != sc.settings[i]:
-                raise ValidationError(f"party {i} needs one outcome permutation per setting")
+            per_setting = _entries(per_setting, f"outcome permutations of party {i}", len(sigma))
             tau = [
                 _check_perm(p, d, f"outcome permutation of party {i}, setting {y}")
                 for y, p in enumerate(per_setting)
@@ -189,8 +184,7 @@ class Relabeling:
 
     def __matmul__(self, other: "Relabeling") -> "Relabeling":
         """Composite relabeling: ``self`` applied after ``other``."""
-        if self.scenario != other.scenario:
-            raise ScenarioMismatchError("cannot compose relabelings of different scenarios")
+        self.scenario._match(other.scenario, "composed relabelings")
         return Relabeling._from_images(self.scenario, self._images[other._images])
 
     # -- actions ---------------------------------------------------------------
@@ -213,8 +207,7 @@ def identity_relabeling(scenario: Scenario) -> Relabeling:
 
 def global_outcome_flip(scenario: Scenario) -> Relabeling:
     """Swap the two outcomes of every setting of every party (d = 2 only)."""
-    if scenario.outcomes != 2:
-        raise ValidationError("the global flip is a two-outcome relabeling")
+    scenario._two_outcomes("the global flip")
     return outcome_shift(scenario, 1)
 
 
@@ -292,8 +285,7 @@ def _joint_perms(scenario: Scenario, images: np.ndarray) -> np.ndarray:
 
 def _pushed(relabeling: Relabeling, obj: Behavior | BellFunctional, what: str) -> np.ndarray:
     """The table of a behavior or functional, entries moved along the relabeling."""
-    if relabeling.scenario != obj.scenario:
-        raise ScenarioMismatchError(f"relabeling and {what} scenarios differ")
+    relabeling.scenario._match(obj.scenario, f"relabeling and {what}")
     input_map, outcome_map = relabeling.event_maps
     moved = np.empty_like(obj.table)
     moved[input_map[:, None], outcome_map] = obj.table
@@ -364,7 +356,7 @@ def search_space_size(scenario: Scenario, include_party_perms: bool = False) -> 
         math.factorial(m) * math.factorial(scenario.outcomes) ** m
         for m in scenario.settings
     )
-    if include_party_perms:
+    if _choice(include_party_perms, "include_party_perms", (False, True)):
         size *= math.prod(
             math.factorial(k) for k in Counter(scenario.settings).values()
         )
@@ -518,6 +510,7 @@ def _orbit_closure(
     itself.  Orbits are numbered in the order of their smallest event.
     """
     sc = functional.scenario
+    generators = _entries(generators, "generators")
     if any(g.scenario is not sc and g.scenario != sc for g in generators):
         raise ScenarioMismatchError("generator scenario does not match functional")
     dense = functional.table.reshape(-1)
@@ -588,7 +581,7 @@ class UniformityCertificate:
     def joint_classes(self, settings: Sequence[int]) -> list[list[int]]:
         """Outcome-index classes forced equiprobable at a joint input."""
         sc = self.functional.scenario
-        x_idx = sc.input_index(tuple(settings))
+        x_idx = sc.input_index(settings)
         return _classes(self.joint_orbits[x_idx * sc.num_outcomes : (x_idx + 1) * sc.num_outcomes])
 
     def marginal_classes(self, party: int, setting: int) -> list[list[int]]:
@@ -602,9 +595,7 @@ class UniformityCertificate:
     def _query_classes(self, query: JointQuery | LocalQuery) -> list[list[int]]:
         if isinstance(query, JointQuery):
             return self.joint_classes(query.settings)
-        if isinstance(query, LocalQuery):
-            return self.marginal_classes(query.party, query.setting)
-        raise ValidationError(f"unsupported query {query!r}")
+        return self.marginal_classes(query.party, query.setting)
 
     def certified_bits(self, query: JointQuery | LocalQuery) -> float:
         """Min-entropy bound at the query: log2 of the smallest event class."""
@@ -656,8 +647,7 @@ def orbit_equality_violation(
     to the optimizer's maximal-violation behavior.
     """
     sc = cert.functional.scenario
-    if behavior.scenario != sc:
-        raise ScenarioMismatchError("certificate and behavior scenarios differ")
+    sc._match(behavior.scenario, "certificate and behavior")
     marginals = []
     for i in range(sc.parties):
         rows = _subset_rows(behavior, (i,))  # (setting, other inputs, outcome)
@@ -706,15 +696,8 @@ def _relabeling_dicts(scenario: Scenario, relabelings: Sequence[Relabeling]) -> 
 
 def relabeling_from_dict(scenario: Scenario, data: Mapping) -> Relabeling:
     with _reading("relabeling"):
-        parties = data["parties"]
-        if len(parties) != scenario.parties:
-            raise ValidationError("relabeling party count does not match scenario")
-        return Relabeling(
-            scenario,
-            tuple(tuple(p["input_perm"]) for p in parties),
-            tuple(tuple(tuple(q) for q in p["output_perms"]) for p in parties),
-            tuple(data["party_perm"]) if data.get("party_perm") else None,
-        )
+        inputs, outputs = ([p[k] for p in data["parties"]] for k in ("input_perm", "output_perms"))
+        return Relabeling(scenario, inputs, outputs, data.get("party_perm") or None)
 
 
 def certificate_to_dict(cert: UniformityCertificate) -> dict:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bellcert import (
+    BellFunctional,
     CorrelatorForm,
     JointQuery,
     LocalQuery,
@@ -19,6 +20,7 @@ from bellcert import (
     chained_modular,
     chsh,
     correlators_from_behavior,
+    deterministic_behavior,
     find_symmetries,
     from_correlator_terms,
     functional_from_dict,
@@ -84,6 +86,12 @@ REJECTED = {
     "relabeling-scalar-party-perm": lambda: Relabeling(
         SC, ((0, 1), (0, 1)), HALF_BLOCKS[1], party_perm=5
     ),
+    "input-index-scalar": lambda: SC.input_index(5),
+    "behavior-prob-scalar": lambda: uniform_behavior(SC).prob(5, (0, 0)),
+    "deterministic-behavior-scalar": lambda: deterministic_behavior(SC, 5),
+    "correlator-terms-scalar-key": lambda: from_correlator_terms(SC, {5: 1}),
+    "joint-query-float-array": lambda: JointQuery(np.array([[0.5]])),
+    "functional-ragged-key": lambda: BellFunctional(SC, {(0, (1, 2)): 1}),
 }
 
 
