@@ -34,6 +34,7 @@ from .scenario import (
     _choice,
     _correlator_key,
     _correlator_place,
+    _document_scenario,
     _index_rows,
     _integer,
     _items,
@@ -530,10 +531,7 @@ def functional_to_dict(functional: BellFunctional) -> dict:
 
 def functional_from_dict(data: Mapping) -> BellFunctional:
     with _reading("functional"):
-        scenario = Scenario(tuple(data["settings"]), data["outcomes"])
-        parties = data.get("parties")
-        if parties is not None and _integer(parties, "parties") != scenario.parties:
-            raise ValidationError("party count does not match the settings list")
+        scenario = _document_scenario(data)
         terms = data["terms"]
         xs = _index_rows([term["x"] for term in terms], scenario.settings, "term's 'x'")
         as_ = _index_rows(

@@ -33,6 +33,7 @@ from .scenario import (
     Scenario,
     ScenarioMismatchError,
     ValidationError,
+    _document_scenario,
     _entries,
     _integer,
     _numbers,
@@ -183,7 +184,12 @@ def phase_measurement_model(
     chained functionals with d outcomes.
     """
     scenario = Scenario((m, m), d)
-    phases = _numbers([_entries(p, "phases", m) for p in (alice_phases, bob_phases)], "phases")
+    phases = np.array(
+        [
+            [_real(v, f"phase of party {i}") for v in _entries(p, f"phases of party {i}", m)]
+            for i, p in enumerate((alice_phases, bob_phases))
+        ]
+    )
     k = np.arange(d)
     state = np.zeros(d * d, dtype=complex)
     state[k * d + k] = 1 / math.sqrt(d)
@@ -490,7 +496,7 @@ def model_to_dict(model: QuantumModel) -> dict:
 
 def model_from_dict(data: Mapping) -> QuantumModel:
     with _reading("model"):
-        scenario = Scenario(tuple(data["settings"]), data["outcomes"])
+        scenario = _document_scenario(data)
         meas = data["measurements"]
         if meas["kind"] == "bloch":
             state = _pairs_to_complex(data["state_re_im"], (2**scenario.parties,))

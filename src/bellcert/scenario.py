@@ -40,6 +40,8 @@ NO_SIGNALING_TOL = 1e-7
 # upper bound on the elements of one batched array: the local_bound contraction,
 # the generator pass of certification and the JSON listing work in chunks of this size
 _GATHER_ELEMENTS = 1 << 16
+# the most joint events (inputs × outcomes) the scenario of a JSON document may have
+_DOCUMENT_EVENTS = 1 << 24
 
 
 class ValidationError(ValueError):
@@ -626,6 +628,22 @@ def _reading(what: str):
         raise ValidationError(f"malformed {what}: {detail}") from exc
 
 
+def _document_scenario(data: Mapping) -> Scenario:
+    """A document's scenario: its ``settings`` and ``outcomes``, an optional
+    ``parties`` entry checked against the settings list, and at most
+    ``_DOCUMENT_EVENTS`` joint events, refused before anything is allocated."""
+    scenario = Scenario(tuple(data["settings"]), data["outcomes"])
+    parties = data.get("parties")
+    if parties is not None and _integer(parties, "parties") != scenario.parties:
+        raise ValidationError("party count does not match the settings list")
+    events = scenario.num_inputs * scenario.num_outcomes
+    if events > _DOCUMENT_EVENTS:
+        raise ValidationError(
+            f"scenario has {events} joint events, above the {_DOCUMENT_EVENTS} a document may have"
+        )
+    return scenario
+
+
 def behavior_to_dict(behavior: Behavior) -> dict:
     scenario = behavior.scenario
     table = {}
@@ -641,10 +659,7 @@ def behavior_to_dict(behavior: Behavior) -> dict:
 
 def behavior_from_dict(data: Mapping) -> Behavior:
     with _reading("behavior"):
-        scenario = Scenario(tuple(data["settings"]), data["outcomes"])
-        parties = data.get("parties")
-        if parties is not None and _integer(parties, "parties") != scenario.parties:
-            raise ValidationError("party count does not match the settings list")
+        scenario = _document_scenario(data)
         table = np.zeros((scenario.num_inputs, scenario.num_outcomes))
         entries = data["table"]
         if len(entries) != scenario.num_inputs:

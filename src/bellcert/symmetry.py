@@ -380,9 +380,18 @@ def _block_combinations(images: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _rows(matrix: np.ndarray) -> np.ndarray:
-    """The rows of an integer matrix as single opaque values, compared by their bytes."""
+    """The rows (last axis) of an integer array as single opaque values, compared by bytes."""
     matrix = np.ascontiguousarray(matrix)
-    return matrix.view(np.dtype((np.void, matrix.itemsize * matrix.shape[1]))).ravel()
+    return matrix.view(np.dtype((np.void, matrix.itemsize * matrix.shape[-1])))[..., 0]
+
+
+def _column_ids(columns: np.ndarray, matrix: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Row h: the id (position in the sorted ``columns``) of each column of ``matrix``
+    with rows gathered at the head images ``heads[h]``, or −1 where it is none of them."""
+    gathered = matrix[heads].swapaxes(1, 2)  # (head image, column, row)
+    ids = np.searchsorted(columns[:-1], _rows(gathered))
+    same = columns[ids].view(gathered.dtype).reshape(gathered.shape) == gathered
+    return np.where(same.all(axis=-1), ids, -1)
 
 
 def find_symmetries(
@@ -404,9 +413,9 @@ def find_symmetries(
     tail group's, and transposed along the party permutation, a candidate
     (g_A, g_B) is a symmetry iff column g_B(s) of the matrix with rows
     gathered by g_A equals column s of the table, for every s.  Each distinct
-    column of the table gets an exact id; each head combination labels its
-    gathered columns by id, and is matched by exactly the tail combinations
-    whose key ``id ∘ g_B⁻¹`` equals that labelling.
+    column of the table gets an exact id and each tail combination the key
+    ``id ∘ g_B⁻¹``.  One batched pass labels the gathered columns of a chunk
+    of head combinations at once and finds the tails keyed by each labelling.
 
     Each hit is built as its row of single-party event images: its parties'
     block images side by side, each moved to the block of its slot.  The
@@ -432,34 +441,31 @@ def find_symmetries(
     table = _paired(scenario, functional.table).reshape([m * d for m in scenario.settings])
 
     columns, ids = np.unique(_rows(table.reshape(shape).T), return_inverse=True)
-    keys = np.empty(tail.shape, dtype=np.intp)
-    keys[np.arange(len(tail))[:, None], tail] = ids
-    tails_by_key: dict[bytes, list[int]] = {}
-    for t, key in enumerate(_rows(keys).tolist()):
-        tails_by_key.setdefault(key, []).append(t)
+    # the key id ∘ g_B⁻¹ of each tail combination; g_B⁻¹ combines the inverse blocks
+    inverses = _block_combinations([np.argsort(local, axis=1) for local in images[k:]])
+    keys = _rows(ids[inverses])
+    order = np.argsort(keys, kind="stable")  # tails with equal keys stay in order
 
     party_perms = _party_perms(scenario, include_party_perms)
-    matches = []  # (party permutation, head combination, its tail combinations)
+    step = max(1, _GATHER_ELEMENTS // table.size)
+    found = []  # per chunk of heads: its hits' indices over (party permutation, head, tail)
     for p, pi in enumerate(party_perms):
-        moved = np.ascontiguousarray(table.transpose(pi).reshape(shape).T)
-        for h, rows in enumerate(head):
-            gathered = _rows(moved[:, rows])
-            labels = np.minimum(np.searchsorted(columns, gathered), len(columns) - 1)
-            if not np.array_equal(columns[labels], gathered):
-                continue  # a gathered column is no column of the table
-            tails = tails_by_key.get(labels.tobytes())
-            if tails is not None:
-                matches.append((p, h, tails))
+        matrix = table.transpose(pi).reshape(shape)
+        for lo in range(0, len(head), step):
+            labels = _rows(_column_ids(columns, matrix, head[lo : lo + step]))
+            first = np.searchsorted(keys, labels, sorter=order)
+            count = np.searchsorted(keys, labels, side="right", sorter=order) - first
+            perm_heads = np.repeat(p * len(head) + lo + np.arange(len(count)), count)
+            starts = np.repeat(first + count - np.cumsum(count), count) + np.arange(perm_heads.size)
+            found.append(perm_heads * len(tail) + order[starts])
 
     # each hit's row: every party's block images, moved to the block of its slot
-    perm_ids, heads, tails = zip(*matches)
-    sizes = [len(t) for t in tails]
-    combinations = np.repeat(heads, sizes) * len(tail) + np.concatenate(tails)
+    perm_ids, *blocks = np.unravel_index(np.concatenate(found), [len(party_perms), *counts])
     offsets = np.array(_marginal_offsets(scenario), dtype=np.int64)
     shifts = np.repeat(offsets[:-1][np.array(party_perms)], np.diff(offsets), axis=1)
-    hits = shifts[np.repeat(perm_ids, sizes)]
-    for i, blocks in enumerate(np.unravel_index(combinations, counts)):
-        hits[:, offsets[i] : offsets[i + 1]] += images[i][blocks]
+    hits = shifts[perm_ids]
+    for i, chosen in enumerate(blocks):
+        hits[:, offsets[i] : offsets[i + 1]] += images[i][chosen]
     # the first match is the identity: the identity party permutation, block 0 of every party
     return tuple(Relabeling._from_images(scenario, row) for row in hits[1:])
 
@@ -648,25 +654,18 @@ def orbit_equality_violation(
     """
     sc = cert.functional.scenario
     sc._match(behavior.scenario, "certificate and behavior")
-    marginals = []
+    values = [behavior.table.reshape(-1)]
     for i in range(sc.parties):
         rows = _subset_rows(behavior, (i,))  # (setting, other inputs, outcome)
         _warn_if_signaling(rows, (i,), NO_SIGNALING_TOL)
-        marginals.append(rows.mean(axis=1).reshape(-1))
-    marg_vals = np.concatenate(marginals)
-    joint = behavior.table.reshape(-1)
-    return max(
-        _largest_spread(values, ids)
-        for values, ids in ((joint, cert.joint_orbits), (marg_vals, cert.marginal_orbits))
-    )
-
-
-def _largest_spread(values: np.ndarray, ids: np.ndarray) -> float:
-    """Largest max − min of ``values`` over the groups of equal ``ids``."""
+        values.append(rows.mean(axis=1).reshape(-1))
+    # the largest max − min over the groups of equal orbit ids, the single-party
+    # ids shifted past the joint ones so that one pass covers both partitions
+    ids = np.concatenate((cert.joint_orbits, cert.marginal_orbits + cert.joint_orbits.size))
     order = np.argsort(ids, kind="stable")
     grouped = ids[order]
     starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
-    values = values[order]
+    values = np.concatenate(values)[order]
     spread = np.maximum.reduceat(values, starts) - np.minimum.reduceat(values, starts)
     return float(spread.max())
 

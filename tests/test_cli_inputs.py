@@ -133,6 +133,7 @@ class TestMalformedFunctionals:
             _first_term("c_log2_den", -1),
             _first_term("x", 0),
             lambda doc: [doc],
+            lambda doc: {**doc, "settings": [10**6, 10**6], "terms": []},
         ],
         ids=[
             "missing-terms",
@@ -142,6 +143,7 @@ class TestMalformedFunctionals:
             "negative-c_log2_den",
             "scalar-x",
             "top-level-list",
+            "huge-scenario",
         ],
     )
     def test_malformed_file(self, capsys, tmp_path, edit):
@@ -160,7 +162,17 @@ class TestLibraryErrors:
         with pytest.raises(ValidationError):
             tilted_chsh(eta)
 
-    @pytest.mark.parametrize("data", [[], {}, {"settings": [2, 2], "outcomes": 2}, "chsh"])
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [],
+            {},
+            {"settings": [2, 2], "outcomes": 2},
+            "chsh",
+            {**functional_to_dict(chsh()), "parties": 7},
+            {"settings": [10**6, 10**6], "outcomes": 2, "terms": []},
+        ],
+    )
     def test_functional_from_dict_rejects_malformed_data(self, data):
         with pytest.raises(ValidationError):
             functional_from_dict(data)

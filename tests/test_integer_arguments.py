@@ -30,6 +30,7 @@ from bellcert import (
     model_from_dict,
     optimize_violation,
     outcome_shift,
+    phase_measurement_model,
     relabeling_from_dict,
     uniform_behavior,
 )
@@ -107,6 +108,9 @@ def test_error_names_the_argument_and_the_value():
     message = r"^setting of party 1 must be an integer in 0\.\.1, got 2$"
     with pytest.raises(ValidationError, match=message):
         SC.input_index((0, 2))
+    message = r"^phase of party 0 must be a real number, got \[0\.0\]$"
+    with pytest.raises(ValidationError, match=message):
+        phase_measurement_model(2, 3, [[0.0], [0.1]], [[0.1], [0.2]])
 
 
 def test_a_non_integer_in_a_document_is_malformed():

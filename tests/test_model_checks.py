@@ -326,6 +326,15 @@ def _integer_key():
     return {"settings": [1], "outcomes": 2, "table": {5: [0.5, 0.5]}}
 
 
+def _seven_parties(make):
+    return lambda: dict(make(), parties=7)
+
+
+def _huge_scenario(make):
+    # refused before a table of 10**12 inputs is allocated
+    return lambda: dict(make(), settings=[10**6, 10**6], parties=2)
+
+
 class TestDictReaders:
     @pytest.mark.parametrize(
         "make, message",
@@ -334,8 +343,10 @@ class TestDictReaders:
             (_model_of_kind_x, "malformed model: unknown kind 'x'"),
             (_short_qubit_state, "malformed model: ValueError"),
             (_short_projector_block, "malformed model: ValueError"),
+            (_seven_parties(phase_dict), "party count does not match the settings list"),
+            (_huge_scenario(phase_dict), "scenario has 9000000000000 joint events, above"),
         ],
-        ids=["empty", "kind-x", "short-state", "short-block"],
+        ids=["empty", "kind-x", "short-state", "short-block", "seven-parties", "huge"],
     )
     def test_malformed_model(self, make, message):
         with pytest.raises(ValidationError) as got:
@@ -351,8 +362,13 @@ class TestDictReaders:
             (_scalar_row, "malformed behavior: TypeError"),
             (_list_table, "malformed behavior: AttributeError"),
             (_integer_key, "malformed behavior: AttributeError"),
+            (_seven_parties(behavior_dict), "party count does not match the settings list"),
+            (_huge_scenario(behavior_dict), "scenario has 4000000000000 joint events, above"),
         ],
-        ids=["empty", "letter-key", "scalar-row", "list-table", "integer-key"],
+        ids=[
+            "empty", "letter-key", "scalar-row", "list-table", "integer-key", "seven-parties",
+            "huge",
+        ],
     )
     def test_malformed_behavior(self, make, message):
         with pytest.raises(ValidationError) as got:

@@ -272,9 +272,15 @@ def seeded_symmetric_functional(scenario):
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 @pytest.mark.parametrize("include_party_perms", [False, True])
-def test_search_matches_exhaustive_loop_on_every_scenario(scenario, include_party_perms):
+@pytest.mark.parametrize("gather_elements", [None, 1], ids=["default-chunks", "one-head-per-gather"])
+def test_search_matches_exhaustive_loop_on_every_scenario(
+    scenario, include_party_perms, gather_elements
+):
     functional = seeded_symmetric_functional(scenario)
-    found = find_symmetries(functional, include_party_perms=include_party_perms)
+    with mock.patch.object(
+        bellcert.symmetry, "_GATHER_ELEMENTS", gather_elements or bellcert.symmetry._GATHER_ELEMENTS
+    ):
+        found = find_symmetries(functional, include_party_perms=include_party_perms)
     assert found
     assert found == oracle_symmetries(functional, include_party_perms)
 
