@@ -149,17 +149,12 @@ def _bound_as_number(bound, log2_den: int) -> float | int:
     return value
 
 
-def _queries_of(kind: type, sc) -> list:
-    """The queries of one kind, ``JointQuery`` or ``LocalQuery``, in order."""
-    return [q for q in _queries(sc) if isinstance(q, kind)]
-
-
 def _bits_block(cert) -> dict:
-    block: dict = {"joint_bits": {}, "local_bits": {}}
-    for q in _queries(cert.functional.scenario):
-        kind = "joint_bits" if isinstance(q, JointQuery) else "local_bits"
-        block[kind][_query_key(q)] = cert.certified_bits(q)
-    return block
+    joint, local = _queries(cert.functional.scenario)
+    return {
+        "joint_bits": {_query_key(q): cert.certified_bits(q) for q in joint},
+        "local_bits": {_query_key(q): cert.certified_bits(q) for q in local},
+    }
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -219,7 +214,7 @@ def _cmd_certify(args: argparse.Namespace) -> dict:
     out = {
         "functional": functional.name,
         "generator_count": len(cert.generators),
-        "assumes_unique_maximizer": True,
+        "assumes_unique_maximizer": cert.assumes_unique_maximizer,
     }
     if query is None:
         return {**out, **_bits_block(cert)}
@@ -253,6 +248,7 @@ def _cmd_randomness(args: argparse.Namespace) -> dict:
 # globals are looked up when a demo runs, not when the table is built.
 
 _TILT = 0.5
+_PROBE_SEEDS = (11, 12, 13)
 _DemoRun = namedtuple("_DemoRun", "document functional generators cert queries behavior")
 
 
@@ -279,20 +275,20 @@ def _cross_check_block(cert, behavior, reports) -> dict:
     return {
         "worst_orbit_equality_violation": orbit_equality_violation(cert, behavior),
         "queries": per_query,
-        "assumes_unique_maximizer": True,
+        "assumes_unique_maximizer": cert.assumes_unique_maximizer,
     }
 
 
-def _uniqueness_probe(functional, seeds=(11, 12, 13)) -> dict:
+def _uniqueness_probe(functional) -> dict:
     """Distinct-seed behaviors compared pairwise; reported without judgment."""
-    behaviors = [optimize_violation(functional, seed=s).behavior for s in seeds]
+    behaviors = [optimize_violation(functional, seed=s).behavior for s in _PROBE_SEEDS]
     pairs = itertools.combinations(behaviors, 2)
     worst = max(float(np.abs(p.table - q.table).max()) for p, q in pairs)
-    return {"seeds": list(seeds), "max_pairwise_table_distance": worst}
+    return {"seeds": list(_PROBE_SEEDS), "max_pairwise_table_distance": worst}
 
 
 def _even_primed(functional) -> list[JointQuery]:
-    return [q for q in _queries_of(JointQuery, functional.scenario) if sum(q.settings) % 2 == 0]
+    return [q for q in _queries(functional.scenario)[0] if sum(q.settings) % 2 == 0]
 
 
 def _chsh_fields(run: _DemoRun) -> dict:
@@ -396,7 +392,7 @@ _DEMOS = {
     "chsh": _Demo(
         lambda: chsh(),
         _chsh_fields,
-        queries=lambda cert: _queries_of(LocalQuery, cert.functional.scenario),
+        queries=lambda cert: _queries(cert.functional.scenario)[1],  # every local query
         observed=True,
         bound_keys=("maximizer_count",),
     ),
@@ -408,7 +404,7 @@ _DEMOS = {
     "chained-local": _Demo(
         lambda: chained_modular(2, 3),
         _chained_local_fields,
-        queries=lambda cert: _queries_of(LocalQuery, cert.functional.scenario),
+        queries=lambda cert: _queries(cert.functional.scenario)[1],  # every local query
         shift_only=True,
         # near-optimal Fourier-phase qudit model
         model=lambda: phase_measurement_model(2, 3, [0.0, 0.3812], [0.1906, 0.5718]),
@@ -431,9 +427,7 @@ _DEMOS = {
         lambda: mermin(4),
         _mermin_even_fields,
         # the joint input with the most certified bits
-        queries=lambda cert: [
-            max(_queries_of(JointQuery, cert.functional.scenario), key=cert.certified_bits)
-        ],
+        queries=lambda cert: [max(_queries(cert.functional.scenario)[0], key=cert.certified_bits)],
         observed=True,
     ),
     "lifted": _Demo(
@@ -574,9 +568,12 @@ def _emit_error(code: str, message: str) -> None:
     sys.stderr.write(json.dumps({"code": code, "message": message}) + "\n")
 
 
+_PARSER = build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         _check_numeric_options(args)
         _emit(args.func(args), args)
     except SystemExit as exc:  # --help and --version

@@ -34,6 +34,7 @@ from .scenario import (
     _choice,
     _correlator_key,
     _correlator_place,
+    _document_header,
     _document_scenario,
     _index_rows,
     _integer,
@@ -521,9 +522,7 @@ def functional_to_dict(functional: BellFunctional) -> dict:
     ]
     return {
         "name": functional.name,
-        "parties": scenario.parties,
-        "settings": list(scenario.settings),
-        "outcomes": scenario.outcomes,
+        **_document_header(scenario),
         "orientation": functional.orientation,
         "terms": terms,
     }

@@ -33,6 +33,7 @@ from .scenario import (
     Scenario,
     ScenarioMismatchError,
     ValidationError,
+    _document_header,
     _document_scenario,
     _entries,
     _integer,
@@ -468,13 +469,7 @@ def _pairs_to_complex(pairs: Sequence[float], shape: tuple[int, ...]) -> np.ndar
 
 
 def model_to_dict(model: QuantumModel) -> dict:
-    sc = model.scenario
-    out: dict = {
-        "parties": sc.parties,
-        "settings": list(sc.settings),
-        "outcomes": sc.outcomes,
-        "state_re_im": _complex_to_pairs(model.state),
-    }
+    out: dict = {**_document_header(model.scenario), "state_re_im": _complex_to_pairs(model.state)}
     if model.bloch is not None:
         out["measurements"] = {
             "kind": "bloch",

@@ -7,8 +7,8 @@ Reports come in two kinds and are labeled to prevent misreading:
   describe that behavior only.
 * ``certified`` reports quote the bound carried by a
   :class:`~bellcert.symmetry.UniformityCertificate` and are conditional on
-  the certificate's uniqueness assumption, which is restated verbatim in
-  the report.
+  the certificate's uniqueness assumption, which follows from the report's
+  kind and is restated verbatim in the report.
 
 The intrinsic randomness of observed correlations (optimizing over all
 realizations) is out of scope here; neither kind computes it.
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .scenario import Behavior, JointQuery, LocalQuery, _choice, _real, marginal
-from .symmetry import UniformityCertificate
+from .symmetry import UNIQUENESS_NOTE, UniformityCertificate
 
 Query = JointQuery | LocalQuery
 
@@ -34,11 +34,15 @@ class RandomnessReport:
     guessing_probability: float
     min_entropy_bits: float
     kind: str  # "observed" | "certified"
-    assumption: str | None = None
 
     def __post_init__(self) -> None:
         _choice(self.kind, "report kind", ("observed", "certified"))
         _real(self.guessing_probability, "guessing probability", positive=True, high=1)
+
+    @property
+    def assumption(self) -> str | None:
+        """The uniqueness assumption of a certified report; None for an observed one."""
+        return UNIQUENESS_NOTE if self.kind == "certified" else None
 
 
 def guessing_probability(behavior: Behavior, x: Sequence[int] | int) -> float:
@@ -75,7 +79,6 @@ def certified_report(
         guessing_probability=2.0 ** (-bits),
         min_entropy_bits=bits,
         kind="certified",
-        assumption=certificate.assumption,
     )
 
 

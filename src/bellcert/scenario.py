@@ -337,10 +337,10 @@ class LocalQuery:
         object.__setattr__(self, "setting", _integer(self.setting, "setting", 0))
 
 
-def _queries(scenario: Scenario) -> list[JointQuery | LocalQuery]:
-    """Every query: each joint input in index order, then each party's settings."""
+def _queries(scenario: Scenario) -> tuple[list[JointQuery], list[LocalQuery]]:
+    """Every query, by kind: each joint input in index order, and each party's settings."""
     joint = [JointQuery(x) for x in scenario.joint_inputs()]
-    return joint + [LocalQuery(i, x) for i, m in enumerate(scenario.settings) for x in range(m)]
+    return joint, [LocalQuery(i, x) for i, m in enumerate(scenario.settings) for x in range(m)]
 
 
 def _query_key(query: JointQuery | LocalQuery) -> str:
@@ -644,17 +644,21 @@ def _document_scenario(data: Mapping) -> Scenario:
     return scenario
 
 
+def _document_header(scenario: Scenario) -> dict:
+    """The scenario entries of a document, as ``_document_scenario`` reads them."""
+    return {
+        "parties": scenario.parties,
+        "settings": list(scenario.settings),
+        "outcomes": scenario.outcomes,
+    }
+
+
 def behavior_to_dict(behavior: Behavior) -> dict:
     scenario = behavior.scenario
     table = {}
     for x, row in zip(scenario.joint_inputs(), behavior.table.tolist()):
         table[_query_key(JointQuery(x))] = row
-    return {
-        "parties": scenario.parties,
-        "settings": list(scenario.settings),
-        "outcomes": scenario.outcomes,
-        "table": table,
-    }
+    return {**_document_header(scenario), "table": table}
 
 
 def behavior_from_dict(data: Mapping) -> Behavior:

@@ -565,18 +565,17 @@ class UniformityCertificate:
 
     ``joint_orbits[x * num_outcomes + a]`` and ``marginal_orbits`` hold orbit
     ids for joint and single-party events.  Certified bits at a query equal
-    log2 of the smallest forced-equal class among the events at that query;
-    every certificate is conditional on the uniqueness assumption recorded
-    in ``assumption``.
+    log2 of the smallest forced-equal class among the events at that query.
+    Every certificate is conditional on uniqueness: ``assumes_unique_maximizer``
+    and ``assumption`` belong to the type, not to an instance.
     """
 
     functional: BellFunctional
     generators: tuple[Relabeling, ...]
     joint_orbits: np.ndarray
     marginal_orbits: np.ndarray
-    query: JointQuery | LocalQuery | None = None
-    assumes_unique_maximizer: bool = True
-    assumption: str = UNIQUENESS_NOTE
+    assumes_unique_maximizer = True  # class constants, not fields
+    assumption = UNIQUENESS_NOTE
 
     def __post_init__(self) -> None:
         self.joint_orbits.setflags(write=False)
@@ -619,8 +618,8 @@ def certify_uniform(
     a non-symmetry raises :class:`ValidationError`.  The orbit partition is
     the closure of the generated group acting on joint events and on
     single-party events; the certificate keeps the generators that join
-    orbits.  The orbits do not depend on ``query``, which is only checked
-    and recorded when given.
+    orbits.  The orbits do not depend on ``query``: when given, it is
+    checked against the scenario and not recorded.
     """
     gens, joint, marg = _orbit_closure(functional, generators)
     cert = UniformityCertificate(
@@ -628,7 +627,6 @@ def certify_uniform(
         generators=tuple(gens),
         joint_orbits=joint,
         marginal_orbits=marg,
-        query=query,
     )
     if query is not None:
         cert.certified_bits(query)  # validates the query eagerly
@@ -640,7 +638,7 @@ def certify_all(
 ) -> dict[JointQuery | LocalQuery, float]:
     """Certified bits for every joint input and every (party, setting)."""
     cert = certify_uniform(functional, generators)
-    return {q: cert.certified_bits(q) for q in _queries(functional.scenario)}
+    return {q: cert.certified_bits(q) for q in itertools.chain(*_queries(functional.scenario))}
 
 
 def orbit_equality_violation(
@@ -700,17 +698,18 @@ def relabeling_from_dict(scenario: Scenario, data: Mapping) -> Relabeling:
 
 
 def certificate_to_dict(cert: UniformityCertificate) -> dict:
-    blocks: dict[type, dict] = {JointQuery: {}, LocalQuery: {}}
-    for q in _queries(cert.functional.scenario):
-        blocks[type(q)][_query_key(q)] = {
-            "bits": cert.certified_bits(q),
-            "classes": cert._query_classes(q),
+    def block(queries: list) -> dict:
+        return {
+            _query_key(q): {"bits": cert.certified_bits(q), "classes": cert._query_classes(q)}
+            for q in queries
         }
+
+    joint, local = _queries(cert.functional.scenario)
     return {
         "functional": cert.functional.name,
         "generators": _relabeling_dicts(cert.functional.scenario, cert.generators),
-        "joint": blocks[JointQuery],
-        "local": blocks[LocalQuery],
+        "joint": block(joint),
+        "local": block(local),
         "assumes_unique_maximizer": cert.assumes_unique_maximizer,
         "assumption": cert.assumption,
     }

@@ -132,7 +132,6 @@ TABLE = {
             "guessing_probability": data(0.25),
             "min_entropy_bits": data(2.0),
             "kind": data("observed"),
-            "assumption": data(None),
         },
     ),
     "Relabeling": (
@@ -152,9 +151,6 @@ TABLE = {
             "generators": record(CERT.generators),
             "joint_orbits": record(CERT.joint_orbits),
             "marginal_orbits": record(CERT.marginal_orbits),
-            "query": record(Q),
-            "assumes_unique_maximizer": record(True),
-            "assumption": record(""),
         },
     ),
     "apply_to_behavior": (bellcert.apply_to_behavior, {"relabeling": obj(G), "behavior": obj(B)}),

@@ -3,9 +3,13 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import bellcert
 from bellcert import chsh, functional_to_dict
 from bellcert.cli import main
 
@@ -239,3 +243,17 @@ class TestDemos:
         _, out1, _ = run_cli(capsys, "demo", "chsh", "--seed", "1")
         _, out2, _ = run_cli(capsys, "demo", "chsh", "--seed", "1")
         assert out1 == out2
+
+
+def test_calls_in_one_process_print_what_fresh_processes_print(capsys):
+    argvs = (["demo"], ["--version"], ["demo", "chsh", "--seed", "0"])
+    in_process = [run_cli(capsys, *argv) for argv in argvs]
+    paths = (os.path.dirname(os.path.dirname(bellcert.__file__)), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    for argv, got in zip(argvs, in_process):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "bellcert.cli", *argv],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert in_process[0][0] == 2 and json.loads(in_process[0][2])["code"] == "usage"

@@ -8,6 +8,7 @@ import pytest
 from bellcert import (
     JointQuery,
     LocalQuery,
+    RandomnessReport,
     Scenario,
     ValidationError,
     behavior_from_model,
@@ -29,8 +30,17 @@ from bellcert import (
     tilted_chsh,
     uniform_behavior,
 )
+from bellcert.symmetry import UNIQUENESS_NOTE
 
 from conftest import canonical_chsh_model, random_ns_behavior, random_small_scenario
+
+
+def _report(kind: str) -> RandomnessReport:
+    """An observed report of the uniform CHSH behavior, or a certified one."""
+    f = chsh()
+    if kind == "observed":
+        return observed_report(uniform_behavior(f.scenario), LocalQuery(0, 0))
+    return certified_report(certify_uniform(f, find_symmetries(f)), LocalQuery(0, 0))
 
 
 class TestGuessingProbability:
@@ -163,7 +173,31 @@ class TestReportJson:
         assert data["assumes_unique_maximizer"] is True
         assert "assumption" in data
 
+    @pytest.mark.parametrize("kind", ["observed", "certified"])
+    def test_assumption_is_written_exactly_when_uniqueness_is_assumed(self, kind):
+        data = report_to_dict(_report(kind))
+        assert data["assumes_unique_maximizer"] is (kind == "certified")
+        assert ("assumption" in data) is data["assumes_unique_maximizer"]
+
     def test_invariant_bits_match_p_guess(self):
         b = uniform_behavior(Scenario((2,), 2))
         rep = observed_report(b, LocalQuery(0, 0))
         assert rep.min_entropy_bits == pytest.approx(-math.log2(rep.guessing_probability), abs=1e-12)
+
+
+class TestAssumptionFollowsFromKind:
+    def test_report_takes_no_assumption(self):
+        with pytest.raises(TypeError):
+            RandomnessReport(LocalQuery(0, 0), 0.5, 1.0, "observed", "x")
+        with pytest.raises(TypeError):
+            RandomnessReport(LocalQuery(0, 0), 0.5, 1.0, "certified", assumption="x")
+
+    def test_observed_report_assumes_nothing(self):
+        assert _report("observed").assumption is None
+        assert RandomnessReport(LocalQuery(0, 0), 0.5, 1.0, "observed").assumption is None
+
+    def test_certified_report_restates_the_uniqueness_note(self):
+        assert _report("certified").assumption == UNIQUENESS_NOTE
+        assert RandomnessReport(LocalQuery(0, 0), 0.5, 1.0, "certified").assumption == (
+            UNIQUENESS_NOTE
+        )

@@ -15,13 +15,16 @@ from bellcert import (
     behavior_from_dict,
     behavior_from_table,
     behavior_to_dict,
+    chained_modular,
     correlators_from_behavior,
     deterministic_behavior,
+    functional_to_dict,
     is_no_signaling,
     marginal,
     uniform_behavior,
 )
-from bellcert.scenario import CorrelatorForm
+from bellcert.quantum import behavior_from_model, model_to_dict, phase_measurement_model
+from bellcert.scenario import CorrelatorForm, _document_header, _document_scenario
 
 from conftest import random_ns_behavior, random_small_scenario
 
@@ -254,3 +257,17 @@ def test_correlator_of_the_empty_subset_is_the_implicit_constant():
     form = correlators_from_behavior(uniform_behavior(Scenario((2, 2), 2)))
     assert form.get((), ()) == 1.0
     assert form.get([np.int64(1)], (1,)) == form.get((1,), (1,))
+
+
+def test_every_document_writes_the_scenario_header_its_reader_reads():
+    model = phase_measurement_model(2, 3, [0.0, 0.3812], [0.1906, 0.5718])
+    header = _document_header(model.scenario)
+    assert header == {"parties": 2, "settings": [2, 2], "outcomes": 3}
+    documents = (
+        functional_to_dict(chained_modular(2, 3)),
+        behavior_to_dict(behavior_from_model(model)),
+        model_to_dict(model),
+    )
+    for document in documents:
+        assert [(k, v) for k, v in document.items() if k in header] == list(header.items())
+        assert _document_scenario(document) == model.scenario

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import numpy as np
@@ -42,7 +43,7 @@ from bellcert import (
     tilted_chsh,
     uniform_behavior,
 )
-from bellcert.symmetry import orbit_equality_violation
+from bellcert.symmetry import UNIQUENESS_NOTE, UniformityCertificate, orbit_equality_violation
 
 from conftest import (
     random_behavior,
@@ -370,6 +371,35 @@ class TestCertification:
         cert = certify_uniform(f, [global_outcome_flip(f.scenario)], LocalQuery(0, 0))
         assert cert.assumes_unique_maximizer is True
         assert "unique" in cert.assumption
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("query", LocalQuery(0, 0)), ("assumes_unique_maximizer", False), ("assumption", "")],
+    )
+    def test_uniqueness_and_query_are_not_constructor_arguments(self, name, value):
+        f = chsh()
+        cert = certify_uniform(f, [global_outcome_flip(f.scenario)])
+        with pytest.raises(TypeError):
+            UniformityCertificate(
+                f, cert.generators, cert.joint_orbits, cert.marginal_orbits, **{name: value}
+            )
+
+    def test_uniqueness_belongs_to_the_type(self):
+        f = chsh()
+        cert = certify_uniform(f, [global_outcome_flip(f.scenario)])
+        assert (cert.assumes_unique_maximizer, cert.assumption) == (True, UNIQUENESS_NOTE)
+        assert "assumption" not in vars(cert)
+        with pytest.raises(FrozenInstanceError):
+            cert.assumption = ""
+
+    def test_query_is_checked_and_not_recorded(self):
+        f = chsh()
+        gens = [global_outcome_flip(f.scenario)]
+        with pytest.raises(ValidationError):
+            certify_uniform(f, gens, LocalQuery(5, 0))
+        with pytest.raises(ValidationError):
+            certify_uniform(f, gens, JointQuery((0, 7)))
+        assert not hasattr(certify_uniform(f, gens, LocalQuery(0, 0)), "query")
 
 
 class TestClassicalSymmetryBreaking:
