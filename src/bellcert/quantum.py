@@ -15,7 +15,10 @@ against independent grid oracles.
 The numerics are contractions over party-paired tensors: the coefficient
 table c[x_0, a_0, x_1, a_1, ...] and each party's stacked projectors
 P_i[x, a, p, q] are summed one party at a time, and all restarts run as one
-batch with one batched eigendecomposition per step.
+batch with one batched eigendecomposition per step.  Several seeds' restarts
+(the demos' uniqueness probe) run as one batch too, and a batch runs in
+slices of at most ``_GATHER_ELEMENTS // 4**N`` restarts, which bounds its
+(slice, 2^N, 2^N) arrays.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import numpy as np
 
 from .functionals import BellFunctional, evaluate
 from .scenario import (
+    _GATHER_ELEMENTS,
     Behavior,
     Scenario,
     ScenarioMismatchError,
@@ -268,24 +272,35 @@ def _traced(rho: np.ndarray, stacks: Sequence[np.ndarray]) -> np.ndarray:
     return _contract(rho.reshape(rho.shape[0], -1), mats)
 
 
-def _bloch_gradients(
-    rho: np.ndarray, stacks: Sequence[np.ndarray], coeffs: np.ndarray, party: int
-) -> np.ndarray:
-    """(R, M_i, 3) gradients v: the objective is const + sum_x v[x] . n_x for party i."""
-    others = stacks[:party] + stacks[party + 1 :]
-    traced = _traced(np.moveaxis(rho, (1 + 2 * party, 2 + 2 * party), (-2, -1)), others)
-    # sum_{a_i} c(x, a) (1/2, -1/2)[a_i], party i's setting first
+def _gradient_weights(coeffs: np.ndarray, party: int) -> np.ndarray:
+    """(rest, M_i) weights sum_{a_i} c(x, a) (1/2, -1/2)[a_i], party i's setting last,
+    the rest of the (x, a) axes in order."""
     weights = np.tensordot(coeffs, [0.5, -0.5], ([2 * party + 1], [0]))
     weights = np.moveaxis(weights, 2 * party, 0)
-    grad = traced.reshape(rho.shape[0], 4, -1) @ weights.reshape(weights.shape[0], -1).T
+    return weights.reshape(weights.shape[0], -1).T
+
+
+def _bloch_gradients(
+    rho: np.ndarray, others: Sequence[np.ndarray], weights: np.ndarray
+) -> np.ndarray:
+    """(R, M_i, 3) gradients v: the objective is const + sum_x v[x] . n_x for party i.
+
+    ``rho`` holds party i's (p, q) axes last, ``others`` the other parties'
+    stacks and ``weights`` party i's :func:`_gradient_weights`.
+    """
+    traced = _traced(rho, others)
+    grad = traced.reshape(rho.shape[0], 4, -1) @ weights
     return np.real(PAULIS.reshape(3, 4) @ grad).swapaxes(1, 2)
 
 
 def _qubit_stacks(bloch: np.ndarray) -> np.ndarray:
     """(R, M * 2, 2, 2) projector stacks of (R, M, 3) Bloch vectors, outcome +1 first."""
-    obs = np.einsum("rmk,kij->rmij", bloch, PAULIS)
+    obs = np.einsum("rmk,kij->rmij", bloch.astype(complex), PAULIS)
     eye = np.eye(2, dtype=complex)
-    stacks = np.stack([(eye + obs) / 2, (eye - obs) / 2], axis=2)
+    stacks = np.empty((*obs.shape[:2], 2, 2, 2), dtype=complex)
+    np.add(eye, obs, out=stacks[:, :, 0])
+    np.subtract(eye, obs, out=stacks[:, :, 1])
+    stacks /= 2
     return stacks.reshape(-1, bloch.shape[1] * 2, 2, 2)
 
 
@@ -330,76 +345,116 @@ class OptimizationResult:
         return self.traces[self.restart]
 
 
-def _random_bloch(rng: np.random.Generator) -> np.ndarray:
-    while True:
-        v = rng.normal(size=3)
-        norm = np.linalg.norm(v)
-        if norm > 1e-6:
-            return v / norm
-
-
 def _seeded_starts(sc: Scenario, seed: int, restarts: int) -> list[np.ndarray]:
-    """Party i's (restarts, M_i, 3) start vectors; restart r draws from rng([seed, r])."""
-    starts = []
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        starts.append([[_random_bloch(rng) for _ in range(m)] for m in sc.settings])
-    return [np.array([s[i] for s in starts]) for i in range(sc.parties)]
+    """Party i's (restarts, M_i, 3) start vectors; restart r draws from rng([seed, r]).
+
+    A restart draws one normal triple per vector, party by party and
+    setting by setting, in one call.  A triple of norm at most 1e-6 is
+    dropped and its replacement drawn after the others, which is the stream
+    order of one draw per vector.  The norm is a dot product, as the 1-D
+    ``np.linalg.norm`` takes it, so that every bit matches.
+    """
+    count = sum(sc.settings)
+    rngs = [np.random.default_rng([seed, r]) for r in range(restarts)]
+    starts = np.array([rng.normal(size=(count, 3)) for rng in rngs])
+    norm = np.sqrt(starts[..., None, :] @ starts[..., None])[..., 0]
+    for r in np.flatnonzero(~(norm > 1e-6).all(axis=(1, 2))):
+        v, n = starts[r], norm[r]
+        while not (n > 1e-6).all():
+            keep = n[:, 0] > 1e-6
+            v = np.concatenate([v[keep], rngs[r].normal(size=(count - keep.sum(), 3))])
+            n = np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]
+        starts[r], norm[r] = v, n
+    starts /= norm
+    return [np.ascontiguousarray(s) for s in np.split(starts, np.cumsum(sc.settings)[:-1], 1)]
 
 
 def _seesaw(
-    functional: BellFunctional, bloch: Sequence[np.ndarray], tol: float, max_iters: int
+    functional: BellFunctional, starts: Sequence[np.ndarray], tol: float, max_iters: int
 ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, list[list[float]]]:
     """Run every restart of the see-saw as one batch.
 
-    ``bloch[i]`` holds party i's (restarts, M_i, 3) start vectors.  Returns
+    ``starts[i]`` holds party i's (restarts, M_i, 3) start vectors.  Returns
     each restart's final Bloch vectors (same layout), iteration count,
-    convergence flag and trace.  A restart leaves the batch at the
-    iteration where it converges.
+    convergence flag and trace.  The batch runs in consecutive slices of at
+    most ``_GATHER_ELEMENTS // 4**N`` restarts, which bounds its (slice,
+    2^N, 2^N) arrays, and a restart leaves its slice at the iteration where
+    it converges.  Gradient weights and density axis orders are fixed for
+    the run, and the projector stacks an iteration's moves build are the
+    next iteration's stacks.
     """
     sc = functional.scenario
+    n = sc.parties
     sign = 1.0 if functional.orientation == "max" else -1.0
     pick = -1 if sign > 0 else 0
-    bloch = list(bloch)
-    restarts = bloch[0].shape[0]
+    restarts = starts[0].shape[0]
     coeffs = _paired(sc, functional.float_table)
-    final = [b.copy() for b in bloch]
+    weights = [_gradient_weights(coeffs, i) for i in range(n)]
+    # density axes with party i's (p, q) pair last
+    axes = [
+        [k for k in range(1 + 2 * n) if k not in (1 + 2 * i, 2 + 2 * i)] + [1 + 2 * i, 2 + 2 * i]
+        for i in range(n)
+    ]
+    final = [np.empty_like(b) for b in starts]
     iterations = np.zeros(restarts, dtype=int)
     converged = np.zeros(restarts, dtype=bool)
     traces: list[list[float]] = [[] for _ in range(restarts)]
-    live = np.arange(restarts)
-    prev = np.full(restarts, -np.inf)
-    for it in range(1, max_iters + 1):
+    size = max(1, _GATHER_ELEMENTS // 4**n)
+    for lo in range(0, restarts, size):
+        bloch = [b[lo : lo + size] for b in starts]
         stacks = [_qubit_stacks(b) for b in bloch]
-        vals, vecs = np.linalg.eigh(_bell_operators(coeffs, stacks))
-        rho = _density(vecs[:, :, pick], (2,) * sc.parties)
-        steps = [sign * vals[:, pick, None]]
-        # no term pairs two settings of one party, so all of a party's
-        # settings move at once and each move is still an exact optimum
-        for i in range(sc.parties):
-            v = _bloch_gradients(rho, stacks, coeffs, i)
-            norm = np.linalg.norm(v, axis=-1, keepdims=True)
-            moved = norm > 1e-14
-            new = np.where(moved, sign * v / np.where(moved, norm, 1.0), bloch[i])
-            # exact objective change of each coordinate step
-            steps.append(sign * ((new * v).sum(axis=-1) - (bloch[i] * v).sum(axis=-1)))
-            bloch[i] = new
-            stacks[i] = _qubit_stacks(new)
-        values = np.cumsum(np.concatenate(steps, axis=1), axis=1)
-        for r, row in zip(live, values.tolist()):
-            traces[r].extend(row)
-        current = values[:, -1]
-        done = current - prev < tol
-        stop = done | (it == max_iters)
-        iterations[live[stop]] = it
-        converged[live[stop]] = done[stop]
-        for i in range(sc.parties):
-            final[i][live[stop]] = bloch[i][stop]
-        live, prev = live[~stop], current[~stop]
-        if not live.size:
-            break
-        bloch = [b[~stop] for b in bloch]
+        live = np.arange(lo, lo + bloch[0].shape[0])
+        prev = np.full(live.size, -np.inf)
+        for it in range(1, max_iters + 1):
+            vals, vecs = np.linalg.eigh(_bell_operators(coeffs, stacks))
+            rho = _density(vecs[:, :, pick], (2,) * n)
+            steps = [sign * vals[:, pick, None]]
+            # no term pairs two settings of one party, so all of a party's
+            # settings move at once and each move is still an exact optimum
+            for i in range(n):
+                others = stacks[:i] + stacks[i + 1 :]
+                v = _bloch_gradients(rho.transpose(axes[i]), others, weights[i])
+                norm = np.sqrt((v * v).sum(axis=-1, keepdims=True))  # np.linalg.norm's formula
+                moved = norm > 1e-14
+                if moved.all():
+                    new = sign * v / norm
+                else:
+                    new = np.where(moved, sign * v / np.where(moved, norm, 1.0), bloch[i])
+                # exact objective change of each coordinate step
+                steps.append(sign * ((new * v).sum(axis=-1) - (bloch[i] * v).sum(axis=-1)))
+                bloch[i] = new
+                stacks[i] = _qubit_stacks(new)
+            values = np.cumsum(np.concatenate(steps, axis=1), axis=1)
+            for r, row in zip(live, values.tolist()):
+                traces[r].extend(row)
+            current = values[:, -1]
+            done = current - prev < tol
+            stop = done | (it == max_iters)
+            if not stop.any():
+                prev = current
+                continue
+            iterations[live[stop]] = it
+            converged[live[stop]] = done[stop]
+            for i in range(n):
+                final[i][live[stop]] = bloch[i][stop]
+            keep = ~stop
+            live, prev = live[keep], current[keep]
+            if not live.size:
+                break
+            bloch = [b[keep] for b in bloch]
+            stacks = [s[keep] for s in stacks]
     return final, iterations, converged, traces
+
+
+def _optimum_model(functional: BellFunctional, bloch: Sequence[np.ndarray]) -> QuantumModel:
+    """One restart's model from its party (M_i, 3) Bloch vectors: the state is
+    the extremal eigenvector of their Bell operator."""
+    sc = functional.scenario
+    stacks = [_qubit_stacks(b[None]) for b in bloch]
+    _, vecs = np.linalg.eigh(_bell_operators(_paired(sc, functional.float_table), stacks))
+    pick = -1 if functional.orientation == "max" else 0
+    measurements = [s.reshape(-1, 2, 2, 2) for s in stacks]
+    return QuantumModel(sc, vecs[0, :, pick], measurements, bloch=bloch)
 
 
 def optimize_violation(
@@ -419,30 +474,52 @@ def optimize_violation(
     run as one batch; the best value wins, ties going to the lowest restart
     index.  Results are reproducible given ``seed``.
     """
+    return _optimize_seeds(functional, (seed,), restarts, tol, max_iters)[0]
+
+
+def _optimize_seeds(
+    functional: BellFunctional,
+    seeds: Sequence[int],
+    restarts: int = 20,
+    tol: float = 1e-10,
+    max_iters: int = 500,
+) -> list[OptimizationResult]:
+    """:func:`optimize_violation` at each seed, all seeds' restarts in one batch.
+
+    Seed k's restarts are the k-th contiguous block of the batch.  No
+    restart's arithmetic depends on the others in its batch or slice, so
+    each seed's result equals a call of its own.
+    """
     sc = functional.scenario
     sc._two_outcomes("the qubit see-saw optimizer")
     dim = 2**sc.parties
     if dim > MAX_QUBIT_DIMENSION:
         raise ValidationError(f"total dimension {dim} exceeds {MAX_QUBIT_DIMENSION}")
     restarts, max_iters = _integer(restarts, "restarts", 1), _integer(max_iters, "max_iters", 1)
-    seed, tol = _integer(seed, "seed", 0), _real(tol, "tol", positive=True)
+    seeds, tol = [_integer(s, "seed", 0) for s in seeds], _real(tol, "tol", positive=True)
 
-    starts = _seeded_starts(sc, seed, restarts)
+    starts = [np.concatenate(p) for p in zip(*(_seeded_starts(sc, s, restarts) for s in seeds))]
     final, iterations, converged, traces = _seesaw(functional, starts, tol, max_iters)
-    best = int(np.argmax([tr[-1] for tr in traces]))
-    model = qubit_model_from_functional(functional, [b[best] for b in final])
-    behavior = behavior_from_model(model)
-    value = evaluate(functional, behavior)
-    return OptimizationResult(
-        value=value,
-        model=model,
-        behavior=behavior,
-        iterations=int(iterations[best]),
-        converged=bool(converged[best]),
-        seed=seed,
-        restart=best,
-        traces=tuple(tuple(tr) for tr in traces),
-    )
+    results = []
+    for k, seed in enumerate(seeds):
+        own = tuple(tuple(tr) for tr in traces[k * restarts : (k + 1) * restarts])
+        best = int(np.argmax([tr[-1] for tr in own]))
+        r = k * restarts + best
+        model = _optimum_model(functional, [b[r] for b in final])
+        behavior = behavior_from_model(model)
+        results.append(
+            OptimizationResult(
+                value=evaluate(functional, behavior),
+                model=model,
+                behavior=behavior,
+                iterations=int(iterations[r]),
+                converged=bool(converged[r]),
+                seed=seed,
+                restart=best,
+                traces=own,
+            )
+        )
+    return results
 
 
 def qubit_model_from_functional(

@@ -20,7 +20,15 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .scenario import Behavior, JointQuery, LocalQuery, _choice, _real, marginal
+from .scenario import (
+    Behavior,
+    JointQuery,
+    LocalQuery,
+    ValidationError,
+    _choice,
+    _real,
+    marginal,
+)
 from .symmetry import UNIQUENESS_NOTE, UniformityCertificate
 
 Query = JointQuery | LocalQuery
@@ -37,7 +45,12 @@ class RandomnessReport:
 
     def __post_init__(self) -> None:
         _choice(self.kind, "report kind", ("observed", "certified"))
-        _real(self.guessing_probability, "guessing probability", positive=True, high=1)
+        p = _real(self.guessing_probability, "guessing probability", positive=True, high=1)
+        bits = _real(self.min_entropy_bits, "min-entropy")
+        if not abs(bits + math.log2(p)) <= 1e-12:
+            raise ValidationError(
+                f"min-entropy {bits!r} bits is not -log2 of guessing probability {p!r}"
+            )
 
     @property
     def assumption(self) -> str | None:

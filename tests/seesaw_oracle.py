@@ -1,10 +1,18 @@
-"""The serial see-saw the batched optimizer replaced, kept as a test oracle.
+"""Two see-saws the optimizer replaced, kept as test oracles.
 
-One Python loop per restart: the Bell operator is summed with one
-``np.kron`` per nonzero term, and each Bloch gradient loops over the other
-parties' outcome assignments.  It shares no contraction code with
-``bellcert.quantum``; only the seeded start (``_random_bloch``) and the
-projectors of a Bloch vector come from the library.
+The serial see-saw: one Python loop per restart.  The Bell operator is
+summed with one ``np.kron`` per nonzero term, and each Bloch gradient loops
+over the other parties' outcome assignments.  It shares no contraction code
+with ``bellcert.quantum``; only the projectors of a Bloch vector come from
+the library.
+
+The first batched see-saw (``_seesaw``, ``_seeded_starts``), as it stood
+before its loop constants were hoisted and its start draws stacked: it
+rebuilds every projector stack and gradient weight on every iteration and
+draws one normal triple per Bloch vector.  It keeps its own projector
+stacks, gradients and draws but uses the library's contractions, so it
+pins the fast path's arithmetic bit for bit, not the contractions
+themselves.
 """
 
 from __future__ import annotations
@@ -15,8 +23,14 @@ from typing import Sequence
 import numpy as np
 
 from bellcert.functionals import BellFunctional
-from bellcert.quantum import PAULIS, _random_bloch, qubit_projectors
-from bellcert.scenario import Scenario
+from bellcert.quantum import (
+    PAULIS,
+    _bell_operators,
+    _density,
+    _traced,
+    qubit_projectors,
+)
+from bellcert.scenario import Scenario, _paired
 
 
 def bell_operator(
@@ -114,6 +128,99 @@ def _measurement_update_vector(
             psi_m = np.moveaxis(psi_t, party, -1).reshape(-1, 2)
             grad_matrix += w * (chi_m.conj().T @ psi_m)
     return np.real(np.einsum("kpq,pq->k", PAULIS, grad_matrix))
+
+
+def _qubit_stacks(bloch: np.ndarray) -> np.ndarray:
+    """(R, M * 2, 2, 2) projector stacks of (R, M, 3) Bloch vectors, outcome +1 first."""
+    obs = np.einsum("rmk,kij->rmij", bloch, PAULIS)
+    eye = np.eye(2, dtype=complex)
+    stacks = np.stack([(eye + obs) / 2, (eye - obs) / 2], axis=2)
+    return stacks.reshape(-1, bloch.shape[1] * 2, 2, 2)
+
+
+def _bloch_gradients(
+    rho: np.ndarray, stacks: Sequence[np.ndarray], coeffs: np.ndarray, party: int
+) -> np.ndarray:
+    """(R, M_i, 3) gradients v: the objective is const + sum_x v[x] . n_x for party i."""
+    others = stacks[:party] + stacks[party + 1 :]
+    traced = _traced(np.moveaxis(rho, (1 + 2 * party, 2 + 2 * party), (-2, -1)), others)
+    # sum_{a_i} c(x, a) (1/2, -1/2)[a_i], party i's setting first
+    weights = np.tensordot(coeffs, [0.5, -0.5], ([2 * party + 1], [0]))
+    weights = np.moveaxis(weights, 2 * party, 0)
+    grad = traced.reshape(rho.shape[0], 4, -1) @ weights.reshape(weights.shape[0], -1).T
+    return np.real(PAULIS.reshape(3, 4) @ grad).swapaxes(1, 2)
+
+
+def _random_bloch(rng: np.random.Generator) -> np.ndarray:
+    while True:
+        v = rng.normal(size=3)
+        norm = np.linalg.norm(v)
+        if norm > 1e-6:
+            return v / norm
+
+
+def _seeded_starts(sc: Scenario, seed: int, restarts: int) -> list[np.ndarray]:
+    """Party i's (restarts, M_i, 3) start vectors; restart r draws from rng([seed, r])."""
+    starts = []
+    for r in range(restarts):
+        rng = np.random.default_rng([seed, r])
+        starts.append([[_random_bloch(rng) for _ in range(m)] for m in sc.settings])
+    return [np.array([s[i] for s in starts]) for i in range(sc.parties)]
+
+
+def _seesaw(
+    functional: BellFunctional, bloch: Sequence[np.ndarray], tol: float, max_iters: int
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, list[list[float]]]:
+    """Run every restart of the see-saw as one batch.
+
+    ``bloch[i]`` holds party i's (restarts, M_i, 3) start vectors.  Returns
+    each restart's final Bloch vectors (same layout), iteration count,
+    convergence flag and trace.  A restart leaves the batch at the
+    iteration where it converges.
+    """
+    sc = functional.scenario
+    sign = 1.0 if functional.orientation == "max" else -1.0
+    pick = -1 if sign > 0 else 0
+    bloch = list(bloch)
+    restarts = bloch[0].shape[0]
+    coeffs = _paired(sc, functional.float_table)
+    final = [b.copy() for b in bloch]
+    iterations = np.zeros(restarts, dtype=int)
+    converged = np.zeros(restarts, dtype=bool)
+    traces: list[list[float]] = [[] for _ in range(restarts)]
+    live = np.arange(restarts)
+    prev = np.full(restarts, -np.inf)
+    for it in range(1, max_iters + 1):
+        stacks = [_qubit_stacks(b) for b in bloch]
+        vals, vecs = np.linalg.eigh(_bell_operators(coeffs, stacks))
+        rho = _density(vecs[:, :, pick], (2,) * sc.parties)
+        steps = [sign * vals[:, pick, None]]
+        # no term pairs two settings of one party, so all of a party's
+        # settings move at once and each move is still an exact optimum
+        for i in range(sc.parties):
+            v = _bloch_gradients(rho, stacks, coeffs, i)
+            norm = np.linalg.norm(v, axis=-1, keepdims=True)
+            moved = norm > 1e-14
+            new = np.where(moved, sign * v / np.where(moved, norm, 1.0), bloch[i])
+            # exact objective change of each coordinate step
+            steps.append(sign * ((new * v).sum(axis=-1) - (bloch[i] * v).sum(axis=-1)))
+            bloch[i] = new
+            stacks[i] = _qubit_stacks(new)
+        values = np.cumsum(np.concatenate(steps, axis=1), axis=1)
+        for r, row in zip(live, values.tolist()):
+            traces[r].extend(row)
+        current = values[:, -1]
+        done = current - prev < tol
+        stop = done | (it == max_iters)
+        iterations[live[stop]] = it
+        converged[live[stop]] = done[stop]
+        for i in range(sc.parties):
+            final[i][live[stop]] = bloch[i][stop]
+        live, prev = live[~stop], current[~stop]
+        if not live.size:
+            break
+        bloch = [b[~stop] for b in bloch]
+    return final, iterations, converged, traces
 
 
 def seeded_start(scenario: Scenario, seed: int, r: int) -> list[list[np.ndarray]]:

@@ -1,7 +1,9 @@
 """The contracted Bell operator, Born rule and batched see-saw against the
-serial loops they replace (``seesaw_oracle``)."""
+serial loops they replace, and the see-saw's fast path against the first
+batched loop (``seesaw_oracle``)."""
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +25,9 @@ from bellcert import (
     phase_measurement_model,
     tilted_chsh,
 )
-from bellcert.quantum import QuantumModel, _seeded_starts, _seesaw
+import bellcert.quantum
+from bellcert.cli import _PROBE_SEEDS
+from bellcert.quantum import QuantumModel, _optimize_seeds, _seeded_starts, _seesaw
 
 TWO_OUTCOME = [
     Scenario((2, 2), 2),
@@ -207,3 +211,107 @@ def test_named_functionals_match_serial_oracle(functional):
     res = optimize_violation(functional, seed=4)
     assert finals[res.restart] >= max(finals) - 1e-12
     assert len(res.trace) == res.iterations * (1 + sum(functional.scenario.settings))
+
+
+# --- the fast path against the first batched loop, bit for bit -----------------
+
+
+def assert_equals_first_batched_loop(functional, seed, restarts, tol, max_iters):
+    """Start draws, traces, iteration counts, convergence flags and final Bloch
+    vectors equal the first batched loop's, with the batch as one slice and
+    in slices of one restart."""
+    sc = functional.scenario
+    starts = _seeded_starts(sc, seed, restarts)
+    for got, want in zip(starts, oracle._seeded_starts(sc, seed, restarts), strict=True):
+        assert np.array_equal(got, want)
+    want_final, want_iterations, want_converged, want_traces = oracle._seesaw(
+        functional, starts, tol, max_iters
+    )
+    for bound in (bellcert.quantum._GATHER_ELEMENTS, 1):
+        with mock.patch.object(bellcert.quantum, "_GATHER_ELEMENTS", bound):
+            final, iterations, converged, traces = _seesaw(functional, starts, tol, max_iters)
+        assert traces == want_traces
+        assert iterations.tolist() == want_iterations.tolist()
+        assert converged.tolist() == want_converged.tolist()
+        for got, want in zip(final, want_final, strict=True):
+            assert np.array_equal(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(two_outcome_functionals(), st.integers(0, 2**16))
+def test_fast_seesaw_equals_the_first_batched_loop(functional, seed):
+    assert_equals_first_batched_loop(functional, seed, restarts=4, tol=1e-10, max_iters=30)
+
+
+@pytest.mark.parametrize(
+    "functional",
+    [
+        chsh(),
+        chained_correlator(3),
+        lifted_chsh_c(),
+        mermin(3),
+        # party 1's outcome never changes a coefficient: its gradient is exactly zero
+        integer_functional(Scenario((2, 2), 2), [1, 1, 0, 0, 0, 0, 1, 1] * 2, "min"),
+    ],
+    ids=["chsh", "chained3", "lifted", "mermin3", "blind-party"],
+)
+def test_fast_seesaw_equals_the_first_batched_loop_on_named_functionals(functional):
+    assert_equals_first_batched_loop(functional, seed=2, restarts=20, tol=1e-10, max_iters=500)
+
+
+def zero_triple_rng(at):
+    """A stand-in for ``np.random.default_rng`` whose normal stream is the real
+    generator's with one (0, 0, 0) triple put in before triple ``at``."""
+    real = np.random.default_rng
+
+    class Generator:
+        def __init__(self, seed):
+            self.stream = np.insert(real(seed).normal(size=300), 3 * at, [0.0, 0.0, 0.0])
+
+        def normal(self, size):
+            count = int(np.prod(size))
+            drawn, self.stream = self.stream[:count], self.stream[count:]
+            return drawn.reshape(size)
+
+    return Generator
+
+
+@pytest.mark.parametrize("at", [0, 1, 3, 5])
+@pytest.mark.parametrize("scenario", [Scenario((2, 2), 2), Scenario((3, 2, 1), 2)])
+def test_start_draws_reject_a_zero_triple_as_one_draw_per_vector_does(monkeypatch, scenario, at):
+    monkeypatch.setattr(np.random, "default_rng", zero_triple_rng(at))
+    got = _seeded_starts(scenario, 7, 3)
+    want = oracle._seeded_starts(scenario, 7, 3)
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g, w)
+        assert np.all(np.abs(np.linalg.norm(g, axis=-1) - 1) < 1e-12)
+
+
+@pytest.mark.parametrize(
+    "functional", [lifted_chsh_c(), chained_correlator(3)], ids=lambda f: f.name
+)
+def test_batched_seeds_equal_separate_calls(functional):
+    """The uniqueness probe's seeds, run as one batch, give each seed's own result."""
+    for seed, got in zip(_PROBE_SEEDS, _optimize_seeds(functional, _PROBE_SEEDS), strict=True):
+        want = optimize_violation(functional, seed=seed)
+        assert (got.value, got.traces, got.seed, got.restart) == (
+            want.value, want.traces, want.seed, want.restart
+        )
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
+        assert np.array_equal(got.model.state, want.model.state)
+        assert np.array_equal(got.behavior.table, want.behavior.table)
+
+
+@pytest.mark.parametrize("bound", [16, 48])
+def test_slices_of_the_batch_leave_the_result_unchanged(monkeypatch, bound):
+    """A smaller batch bound runs CHSH's 20 restarts in slices of 1, or of 3
+    with a shorter last slice; the optimum does not move by a bit."""
+    want = optimize_violation(chsh(), seed=3)
+    monkeypatch.setattr(bellcert.quantum, "_GATHER_ELEMENTS", bound)
+    got = optimize_violation(chsh(), seed=3)
+    assert (got.value, got.traces, got.restart, got.iterations) == (
+        want.value, want.traces, want.restart, want.iterations
+    )
+    assert np.array_equal(got.model.state, want.model.state)
+    for g, w in zip(got.model.bloch, want.model.bloch, strict=True):
+        assert np.array_equal(g, w)

@@ -179,6 +179,12 @@ class TestReportJson:
         assert data["assumes_unique_maximizer"] is (kind == "certified")
         assert ("assumption" in data) is data["assumes_unique_maximizer"]
 
+    def test_bits_must_be_minus_log2_of_p_guess(self):
+        for bits in (2.0, 1.0 + 1e-11, math.nan, "1.0", True, None):
+            with pytest.raises(ValidationError):
+                RandomnessReport(LocalQuery(0, 0), 0.5, bits, "observed")
+        assert RandomnessReport(LocalQuery(0, 0), 0.5, 1.0 + 1e-13, "certified").min_entropy_bits
+
     def test_invariant_bits_match_p_guess(self):
         b = uniform_behavior(Scenario((2,), 2))
         rep = observed_report(b, LocalQuery(0, 0))
