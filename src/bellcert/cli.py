@@ -41,7 +41,6 @@ from .functionals import (
     tilted_chsh,
 )
 from .quantum import (
-    _optimize_seeds,
     behavior_from_model,
     model_to_dict,
     optimize_violation,
@@ -282,7 +281,7 @@ def _cross_check_block(cert, behavior, reports) -> dict:
 
 def _uniqueness_probe(functional) -> dict:
     """Distinct-seed behaviors compared pairwise; reported without judgment."""
-    behaviors = [result.behavior for result in _optimize_seeds(functional, _PROBE_SEEDS)]
+    behaviors = [optimize_violation(functional, seed=s).behavior for s in _PROBE_SEEDS]
     pairs = itertools.combinations(behaviors, 2)
     worst = max(float(np.abs(p.table - q.table).max()) for p, q in pairs)
     return {"seeds": list(_PROBE_SEEDS), "max_pairwise_table_distance": worst}

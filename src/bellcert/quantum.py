@@ -15,8 +15,7 @@ against independent grid oracles.
 The numerics are contractions over party-paired tensors: the coefficient
 table c[x_0, a_0, x_1, a_1, ...] and each party's stacked projectors
 P_i[x, a, p, q] are summed one party at a time, and all restarts run as one
-batch with one batched eigendecomposition per step.  Several seeds' restarts
-(the demos' uniqueness probe) run as one batch too, and a batch runs in
+batch with one batched eigendecomposition per step.  The batch runs in
 slices of at most ``_GATHER_ELEMENTS // 4**N`` restarts, which bounds its
 (slice, 2^N, 2^N) arrays.
 """
@@ -163,15 +162,10 @@ def qubit_model(
     bloch_vectors: Sequence[Sequence[Sequence[float]]],
 ) -> QuantumModel:
     """Build a qubit model from Bloch vectors (one per party and setting)."""
-    measurements = _qubit_measurements(scenario, bloch_vectors)
-    return QuantumModel(scenario, state, measurements, bloch=bloch_vectors)
-
-
-def _qubit_measurements(scenario: Scenario, bloch_vectors) -> tuple:
-    """Projectors of checked Bloch vectors, per party and setting."""
     scenario._two_outcomes("a qubit model")
     parties = _entries(bloch_vectors, "Bloch vectors")
-    return tuple(tuple(map(qubit_projectors, _entries(p, "Bloch vectors"))) for p in parties)
+    measurements = tuple(tuple(map(qubit_projectors, _entries(p, "Bloch vectors"))) for p in parties)
+    return QuantumModel(scenario, state, measurements, bloch=bloch_vectors)
 
 
 def phase_measurement_model(
@@ -295,12 +289,9 @@ def _bloch_gradients(
 
 def _qubit_stacks(bloch: np.ndarray) -> np.ndarray:
     """(R, M * 2, 2, 2) projector stacks of (R, M, 3) Bloch vectors, outcome +1 first."""
-    obs = np.einsum("rmk,kij->rmij", bloch.astype(complex), PAULIS)
+    obs = np.einsum("rmk,kij->rmij", bloch, PAULIS)
     eye = np.eye(2, dtype=complex)
-    stacks = np.empty((*obs.shape[:2], 2, 2, 2), dtype=complex)
-    np.add(eye, obs, out=stacks[:, :, 0])
-    np.subtract(eye, obs, out=stacks[:, :, 1])
-    stacks /= 2
+    stacks = np.stack([(eye + obs) / 2, (eye - obs) / 2], axis=2)
     return stacks.reshape(-1, bloch.shape[1] * 2, 2, 2)
 
 
@@ -416,10 +407,7 @@ def _seesaw(
                 v = _bloch_gradients(rho.transpose(axes[i]), others, weights[i])
                 norm = np.sqrt((v * v).sum(axis=-1, keepdims=True))  # np.linalg.norm's formula
                 moved = norm > 1e-14
-                if moved.all():
-                    new = sign * v / norm
-                else:
-                    new = np.where(moved, sign * v / np.where(moved, norm, 1.0), bloch[i])
+                new = np.where(moved, sign * v / np.where(moved, norm, 1.0), bloch[i])
                 # exact objective change of each coordinate step
                 steps.append(sign * ((new * v).sum(axis=-1) - (bloch[i] * v).sum(axis=-1)))
                 bloch[i] = new
@@ -430,9 +418,6 @@ def _seesaw(
             current = values[:, -1]
             done = current - prev < tol
             stop = done | (it == max_iters)
-            if not stop.any():
-                prev = current
-                continue
             iterations[live[stop]] = it
             converged[live[stop]] = done[stop]
             for i in range(n):
@@ -474,63 +459,30 @@ def optimize_violation(
     run as one batch; the best value wins, ties going to the lowest restart
     index.  Results are reproducible given ``seed``.
     """
-    return _optimize_seeds(functional, (seed,), restarts, tol, max_iters)[0]
-
-
-def _optimize_seeds(
-    functional: BellFunctional,
-    seeds: Sequence[int],
-    restarts: int = 20,
-    tol: float = 1e-10,
-    max_iters: int = 500,
-) -> list[OptimizationResult]:
-    """:func:`optimize_violation` at each seed, all seeds' restarts in one batch.
-
-    Seed k's restarts are the k-th contiguous block of the batch.  No
-    restart's arithmetic depends on the others in its batch or slice, so
-    each seed's result equals a call of its own.
-    """
     sc = functional.scenario
     sc._two_outcomes("the qubit see-saw optimizer")
     dim = 2**sc.parties
     if dim > MAX_QUBIT_DIMENSION:
         raise ValidationError(f"total dimension {dim} exceeds {MAX_QUBIT_DIMENSION}")
     restarts, max_iters = _integer(restarts, "restarts", 1), _integer(max_iters, "max_iters", 1)
-    seeds, tol = [_integer(s, "seed", 0) for s in seeds], _real(tol, "tol", positive=True)
+    seed, tol = _integer(seed, "seed", 0), _real(tol, "tol", positive=True)
 
-    starts = [np.concatenate(p) for p in zip(*(_seeded_starts(sc, s, restarts) for s in seeds))]
+    starts = _seeded_starts(sc, seed, restarts)
     final, iterations, converged, traces = _seesaw(functional, starts, tol, max_iters)
-    results = []
-    for k, seed in enumerate(seeds):
-        own = tuple(tuple(tr) for tr in traces[k * restarts : (k + 1) * restarts])
-        best = int(np.argmax([tr[-1] for tr in own]))
-        r = k * restarts + best
-        model = _optimum_model(functional, [b[r] for b in final])
-        behavior = behavior_from_model(model)
-        results.append(
-            OptimizationResult(
-                value=evaluate(functional, behavior),
-                model=model,
-                behavior=behavior,
-                iterations=int(iterations[r]),
-                converged=bool(converged[r]),
-                seed=seed,
-                restart=best,
-                traces=own,
-            )
-        )
-    return results
-
-
-def qubit_model_from_functional(
-    functional: BellFunctional, bloch: Sequence[Sequence[np.ndarray]]
-) -> QuantumModel:
-    """Model whose state is the extremal eigenvector for the given measurements."""
-    sc = functional.scenario
-    measurements = _qubit_measurements(sc, bloch)
-    vals, vecs = np.linalg.eigh(bell_operator(functional, measurements))
-    idx = -1 if functional.orientation == "max" else 0
-    return QuantumModel(sc, vecs[:, idx], measurements, bloch=bloch)
+    best = int(np.argmax([tr[-1] for tr in traces]))
+    model = _optimum_model(functional, [b[best] for b in final])
+    behavior = behavior_from_model(model)
+    value = evaluate(functional, behavior)
+    return OptimizationResult(
+        value=value,
+        model=model,
+        behavior=behavior,
+        iterations=int(iterations[best]),
+        converged=bool(converged[best]),
+        seed=seed,
+        restart=best,
+        traces=tuple(tuple(tr) for tr in traces),
+    )
 
 
 # --- JSON serialization ------------------------------------------------------

@@ -9,10 +9,9 @@ the library.
 The first batched see-saw (``_seesaw``, ``_seeded_starts``), as it stood
 before its loop constants were hoisted and its start draws stacked: it
 rebuilds every projector stack and gradient weight on every iteration and
-draws one normal triple per Bloch vector.  It keeps its own projector
-stacks, gradients and draws but uses the library's contractions, so it
-pins the fast path's arithmetic bit for bit, not the contractions
-themselves.
+draws one normal triple per Bloch vector.  It keeps its own gradients and
+draws but uses the library's projector stacks and contractions, so it pins
+the hoisted loop's arithmetic bit for bit, not those helpers themselves.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from bellcert.quantum import (
     PAULIS,
     _bell_operators,
     _density,
+    _qubit_stacks,
     _traced,
     qubit_projectors,
 )
@@ -128,14 +128,6 @@ def _measurement_update_vector(
             psi_m = np.moveaxis(psi_t, party, -1).reshape(-1, 2)
             grad_matrix += w * (chi_m.conj().T @ psi_m)
     return np.real(np.einsum("kpq,pq->k", PAULIS, grad_matrix))
-
-
-def _qubit_stacks(bloch: np.ndarray) -> np.ndarray:
-    """(R, M * 2, 2, 2) projector stacks of (R, M, 3) Bloch vectors, outcome +1 first."""
-    obs = np.einsum("rmk,kij->rmij", bloch, PAULIS)
-    eye = np.eye(2, dtype=complex)
-    stacks = np.stack([(eye + obs) / 2, (eye - obs) / 2], axis=2)
-    return stacks.reshape(-1, bloch.shape[1] * 2, 2, 2)
 
 
 def _bloch_gradients(

@@ -30,7 +30,7 @@ from bellcert import (
     qubit_projectors,
     tilted_chsh,
 )
-from bellcert.quantum import QuantumModel, qubit_model_from_functional
+from bellcert.quantum import QuantumModel
 
 from conftest import canonical_chsh_model
 
@@ -58,17 +58,18 @@ class TestModelValidation:
         with pytest.raises(ValidationError, match="identity|orthogonal"):
             QuantumModel(sc, np.array([1.0, 0.0]), ((np.stack([p, p]),),))
 
-    def test_model_from_functional_keeps_the_qubit_model_checks(self):
-        # the same checked path as qubit_model: no bare numpy error
+    def test_qubit_model_checks_its_bloch_vectors(self):
+        # each fault is a ValidationError naming it, not a bare numpy error
         x, z = [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]
+        state = [1.0, 0.0, 0.0, 0.0]
         with pytest.raises(ValidationError, match="two-outcome"):
-            qubit_model_from_functional(chained_modular(2, 3), [[x, z], [x, z]])
+            qubit_model(Scenario((2, 2), 3), state, [[x, z], [x, z]])
         with pytest.raises(ValidationError, match="unit length"):
-            qubit_model_from_functional(chsh(), [[x, [0.0, 0.0, 0.5]], [x, z]])
+            qubit_model(chsh().scenario, state, [[x, [0.0, 0.0, 0.5]], [x, z]])
         with pytest.raises(ValidationError, match="three components"):
-            qubit_model_from_functional(chsh(), [[x, z[:2]], [x, z]])
-        with pytest.raises(ScenarioMismatchError, match="measurements"):
-            qubit_model_from_functional(chsh(), [[x], [x, z]])
+            qubit_model(chsh().scenario, state, [[x, z[:2]], [x, z]])
+        with pytest.raises(ValidationError, match="measurements"):
+            qubit_model(chsh().scenario, state, [[x], [x, z]])
 
     def test_dimension_mismatch(self):
         sc = Scenario((1, 1), 2)

@@ -26,8 +26,7 @@ from bellcert import (
     tilted_chsh,
 )
 import bellcert.quantum
-from bellcert.cli import _PROBE_SEEDS
-from bellcert.quantum import QuantumModel, _optimize_seeds, _seeded_starts, _seesaw
+from bellcert.quantum import QuantumModel, _seeded_starts, _seesaw
 
 TWO_OUTCOME = [
     Scenario((2, 2), 2),
@@ -285,21 +284,6 @@ def test_start_draws_reject_a_zero_triple_as_one_draw_per_vector_does(monkeypatc
     for g, w in zip(got, want, strict=True):
         assert np.array_equal(g, w)
         assert np.all(np.abs(np.linalg.norm(g, axis=-1) - 1) < 1e-12)
-
-
-@pytest.mark.parametrize(
-    "functional", [lifted_chsh_c(), chained_correlator(3)], ids=lambda f: f.name
-)
-def test_batched_seeds_equal_separate_calls(functional):
-    """The uniqueness probe's seeds, run as one batch, give each seed's own result."""
-    for seed, got in zip(_PROBE_SEEDS, _optimize_seeds(functional, _PROBE_SEEDS), strict=True):
-        want = optimize_violation(functional, seed=seed)
-        assert (got.value, got.traces, got.seed, got.restart) == (
-            want.value, want.traces, want.seed, want.restart
-        )
-        assert (got.iterations, got.converged) == (want.iterations, want.converged)
-        assert np.array_equal(got.model.state, want.model.state)
-        assert np.array_equal(got.behavior.table, want.behavior.table)
 
 
 @pytest.mark.parametrize("bound", [16, 48])
