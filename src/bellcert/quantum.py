@@ -22,6 +22,7 @@ slices of at most ``_GATHER_ELEMENTS // 4**N`` restarts, which bounds its
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -132,7 +133,7 @@ def _check_projective(stack: np.ndarray, party: int) -> None:
     settings in order; within one, projector k Hermitian then idempotent for
     each k, then each pair j < k orthogonal, then the sum the identity."""
     settings, d, dim, _ = stack.shape
-    j, k = np.triu_indices(d, 1)
+    j, k = np.array(list(itertools.combinations(range(d), 2)), dtype=np.intp).reshape(-1, 2).T
 
     def off(diff: np.ndarray) -> np.ndarray:  # NaN is off too
         return ~(np.abs(diff).max(axis=(-2, -1)) <= PROJECTOR_TOL)

@@ -220,6 +220,19 @@ class Scenario:
         return tuple((index // s) % self.outcomes for s in self.outcome_strides)
 
     @cached_property
+    def _joint_terms(self) -> np.ndarray:
+        """Read-only: for each single-party event (i, x, a), in party, setting,
+        outcome order, its term x·input_stride_i·num_outcomes +
+        a·outcome_stride_i of a flat joint event index."""
+        strides = zip(self.settings, self.input_strides, self.outcome_strides)
+        d, big = self.outcomes, self.num_outcomes
+        terms = np.concatenate(
+            [np.add.outer(np.arange(m) * s * big, np.arange(d) * t).ravel() for m, s, t in strides]
+        )
+        terms.setflags(write=False)
+        return terms
+
+    @cached_property
     def input_digits(self) -> np.ndarray:
         """Array of shape (num_inputs, parties): setting of each party per joint input."""
         digits = np.stack(np.unravel_index(np.arange(self.num_inputs), self.settings), axis=1)

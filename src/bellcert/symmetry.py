@@ -262,19 +262,13 @@ def _joint_perms(scenario: Scenario, images: np.ndarray) -> np.ndarray:
 
     A flat joint index is a sum of per-party terms, x_i·input_stride_i·D +
     a_i·outcome_stride_i with D = num_outcomes.  Indexed by the images, the
-    vector of these terms over the single-party events gives each image's
-    term at its own slot; each party's terms are broadcast over the axes
-    (x_0, …, x_{N−1}, a_0, …, a_{N−1}) and summed.
+    scenario's vector of these terms over the single-party events gives each
+    image's term at its own slot; each party's terms are broadcast over the
+    axes (x_0, …, x_{N−1}, a_0, …, a_{N−1}) and summed.
     """
     count, d, n = len(images), scenario.outcomes, scenario.parties
     offsets = _marginal_offsets(scenario)
-    strides = zip(scenario.settings, scenario.input_strides, scenario.outcome_strides)
-    terms = np.concatenate(
-        [
-            np.add.outer(np.arange(m) * s * scenario.num_outcomes, np.arange(d) * t).ravel()
-            for m, s, t in strides
-        ]
-    )[images]
+    terms = scenario._joint_terms[images]
     joint = np.zeros((count,) + (1,) * (2 * n), dtype=np.int64)
     for i, m in enumerate(scenario.settings):
         axes = [count] + [1] * (2 * n)
@@ -363,6 +357,17 @@ def search_space_size(scenario: Scenario, include_party_perms: bool = False) -> 
     return size
 
 
+def _head_parties(scenario: Scenario) -> int:
+    """The size k of the search's head group, the first k parties: k balances
+    the two groups' numbers of block combinations."""
+    d = math.factorial(scenario.outcomes)
+    counts = [math.factorial(m) * d**m for m in scenario.settings]
+    return min(
+        range(scenario.parties + 1),
+        key=lambda j: math.prod(counts[:j]) + math.prod(counts[j:]),
+    )
+
+
 def _block_combinations(images: Sequence[np.ndarray]) -> np.ndarray:
     """Event images of every combination of some parties' blocks.
 
@@ -431,11 +436,7 @@ def find_symmetries(
     d = scenario.outcomes
     images = [_party_images(m, d) for m in scenario.settings]
     counts = [len(local) for local in images]
-    # the head is the first k parties, k balancing the two groups' combinations
-    k = min(
-        range(scenario.parties + 1),
-        key=lambda j: math.prod(counts[:j]) + math.prod(counts[j:]),
-    )
+    k = _head_parties(scenario)
     head, tail = _block_combinations(images[:k]), _block_combinations(images[k:])
     shape = (head.shape[1], tail.shape[1])
     table = _paired(scenario, functional.table).reshape([m * d for m in scenario.settings])
@@ -497,23 +498,93 @@ def _join(labels: np.ndarray, perm: np.ndarray) -> np.ndarray:
             labels = deeper
 
 
+def _row_hashes(rows: np.ndarray) -> np.ndarray:
+    """An int64 hash of each row of an integer matrix: its dot product,
+    wrapping modulo 2^64, with fixed pseudorandom weights.  Equal rows hash
+    equal, whatever their dtype; the rows are widened to int64 in chunks."""
+    width = rows.shape[-1]
+    weights = np.arange(1, width + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    weights ^= weights >> np.uint64(31)
+    weights *= np.uint64(0xBF58476D1CE4E5B9)
+    weights ^= weights >> np.uint64(27)
+    step = max(1, _GATHER_ELEMENTS // width)
+    chunks = range(0, len(rows), step)
+    return np.concatenate([rows[lo : lo + step] @ weights.view(np.int64) for lo in chunks])
+
+
+def _firsts(values: np.ndarray) -> np.ndarray:
+    """For each entry, the position of the first entry equal to it."""
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
+    first = np.empty_like(order)
+    first[order] = np.repeat(order[starts], np.diff(np.r_[starts, values.size]))
+    return first
+
+
+def _products(scenario: Scenario, rows: np.ndarray) -> np.ndarray:
+    """Which rows of single-party event images are a∘k, for rows a and k
+    listed before them.
+
+    For row g, a is the first row with g's key: its images of the search's
+    head events and the slot of each tail party.  Then k = a⁻¹∘g fixes the
+    head events and the party order, so in the search's order it is listed
+    among the first hits.  The key only picks a: g is marked only where k,
+    looked up by hash and compared exactly, is a row listed before g.  The
+    lookup runs in chunks of ``_GATHER_ELEMENTS`` and in the rows' dtype.
+    """
+    count, width = rows.shape
+    marked = np.zeros(count, dtype=bool)
+    offsets = _marginal_offsets(scenario)
+    head = _head_parties(scenario)
+    slots = np.repeat(np.arange(scenario.parties, dtype=rows.dtype), np.diff(offsets))
+    first = _firsts(
+        _row_hashes(np.hstack((rows[:, : offsets[head]], slots[rows[:, offsets[head:-1]]])))
+    )
+    later = np.flatnonzero(first != np.arange(count))  # the rows whose a comes before them
+    if not later.size:  # no two keys are equal
+        return marked
+    first = first[later]
+    hashes = _row_hashes(rows)
+    by_hash = np.argsort(hashes, kind="stable")
+    step = max(1, _GATHER_ELEMENTS // width)
+    for lo in range(0, later.size, step):
+        g, a = later[lo : lo + step], first[lo : lo + step]
+        inverse = np.empty((g.size, width), dtype=rows.dtype)
+        np.put_along_axis(inverse, rows[a], np.arange(width), axis=1)
+        k = np.take_along_axis(inverse, rows[g], axis=1)
+        # the first row with k's hash, which is k itself unless two rows collide
+        at = np.searchsorted(hashes, _row_hashes(k), sorter=by_hash)
+        j = by_hash[np.minimum(at, count - 1)]
+        marked[g] = (j < g) & (rows[j] == k).all(axis=1)
+    return marked
+
+
 def _orbit_closure(
     functional: BellFunctional, generators: Sequence[Relabeling]
 ) -> tuple[list[Relabeling], np.ndarray, np.ndarray]:
     """The generators that join orbits, and the joint and single-party orbit ids.
 
-    One pass: each generator must share the functional's scenario; every
-    generator is verified with the exact test of :func:`is_symmetry` (one
-    gather per chunk) and kept iff it joins two classes of the running
-    partition of joint and single-party events, side by side in one
-    permutation.  Each kept generator costs one gather of the rest of its
-    chunk, which finds the next generator that joins two classes.  The rule
-    itself drops identities and duplicates: an identity maps every class
-    into itself, and so does a repeat of an earlier generator, whose
-    partition is already closed under it.  The final partition is the
-    closure of all generators, since a dropped generator maps every class
-    of the partition at that point, and so of each coarser one, into
-    itself.  Orbits are numbered in the order of their smallest event.
+    One pass: each generator must share the functional's scenario; each is
+    verified with the exact test of :func:`is_symmetry` (one gather per
+    chunk) and kept iff it joins two classes of the running partition of
+    joint and single-party events, side by side in one permutation.  Each
+    kept generator costs one gather of the rest of its chunk, which finds
+    the next generator that joins two classes.  The rule itself drops
+    identities and duplicates: an identity maps every class into itself,
+    and so does a repeat of an earlier generator, whose partition is
+    already closed under it.  The final partition is the closure of all
+    generators, since a dropped generator maps every class of the partition
+    at that point, and so of each coarser one, into itself.
+
+    Once the generators' events outnumber an eighth of one gather (below
+    that, the lookup costs more than the gathers it saves), the pass skips
+    each generator g = a∘k with a and k listed before it (:func:`_products`)
+    and neither gathers nor verifies it.  By induction over the list, a and
+    k are symmetries, so g is one too; the partition at g is closed under a
+    and k, so under g, and the rule would drop g.  The first non-symmetry
+    in the list is thus never skipped, and raises.  Orbits are numbered in
+    the order of their smallest event.
     """
     sc = functional.scenario
     generators = _entries(generators, "generators")
@@ -522,10 +593,18 @@ def _orbit_closure(
     dense = functional.table.reshape(-1)
     labels = np.arange(dense.size + _marginal_offsets(sc)[-1])
     step = max(1, _GATHER_ELEMENTS // labels.size)
-    kept: list[Relabeling] = []
+    # the generators' images, stacked a chunk at a time in the narrowest dtype that holds them
+    width = labels.size - dense.size
+    rows = np.empty((len(generators), width), dtype=np.min_scalar_type(width))
     for lo in range(0, len(generators), step):
-        chunk = generators[lo : lo + step]
-        images = np.array([g._images for g in chunk])
+        rows[lo : lo + step] = np.array([g._images for g in generators[lo : lo + step]])
+    todo = np.arange(len(generators))
+    if len(generators) * labels.size > _GATHER_ELEMENTS // 8:  # below, the lookup costs more
+        todo = todo[~_products(sc, rows)]
+    kept: list[Relabeling] = []
+    for lo in range(0, todo.size, step):
+        chunk = todo[lo : lo + step]
+        images = rows[chunk].astype(np.int64)
         joint = _joint_perms(sc, images)
         if not (dense[joint] == dense).all():
             raise ValidationError("a supplied generator is not a symmetry of the functional")
@@ -536,14 +615,13 @@ def _orbit_closure(
             if not joins.size:
                 break
             i += int(joins[0])
-            kept.append(chunk[i])
+            kept.append(generators[chunk[i]])
             labels = _join(labels, perms[i])
             i += 1
-    joint_ids, marginal_ids = (
-        np.unique(part, return_inverse=True)[1].astype(np.int64)
-        for part in (labels[: dense.size], labels[dense.size :])
-    )
-    return kept, joint_ids, marginal_ids
+    # joint classes hold joint events only, so their labels sort first, and the
+    # first single-party event, its class's smallest, has the first single-party id
+    ids = np.unique(labels, return_inverse=True)[1].astype(np.int64)
+    return kept, ids[: dense.size], ids[dense.size :] - ids[dense.size]
 
 
 UNIQUENESS_NOTE = (
@@ -614,12 +692,16 @@ def certify_uniform(
 ) -> UniformityCertificate:
     """Build a uniformity certificate from verified symmetry generators.
 
-    Every generator is re-verified with the exact coefficient comparison;
-    a non-symmetry raises :class:`ValidationError`.  The orbit partition is
-    the closure of the generated group acting on joint events and on
-    single-party events; the certificate keeps the generators that join
-    orbits.  The orbits do not depend on ``query``: when given, it is
-    checked against the scenario and not recorded.
+    Every generator is verified with the exact coefficient comparison,
+    except, on large lists, one that is a product a∘k of two generators
+    listed before it: a and k are symmetries, so a∘k is one, and it can
+    join no orbits that a and k have not joined.  A non-symmetry raises
+    :class:`ValidationError`; the first one in the list is never such a
+    product.  The orbit partition is the closure of the generated group
+    acting on joint events and on single-party events; the certificate
+    keeps the generators that join orbits.  The orbits do not depend on
+    ``query``: when given, it is checked against the scenario and not
+    recorded.
     """
     gens, joint, marg = _orbit_closure(functional, generators)
     cert = UniformityCertificate(

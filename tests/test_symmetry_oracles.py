@@ -34,6 +34,7 @@ from bellcert.symmetry import (
     _join,
     _joint_perms,
     _marginal_offsets,
+    _products,
     orbit_equality_violation,
 )
 
@@ -154,16 +155,14 @@ def loop_marginal_event_perm(relabeling):
 def recount_reduce(generators):
     """Keep a generator iff adding it changes the recomputed joint orbit count,
     or, for a generator with a party permutation, the marginal orbit count."""
-    kept = []
-    for g in generators:
-        if not g.is_identity and g not in kept:
-            kept.append(g)
+    kept = list(dict.fromkeys(g for g in generators if not g.is_identity))
     sc = kept[0].scenario
     sizes = (sc.num_inputs * sc.num_outcomes, _marginal_offsets(sc)[-1])
+    perms = {g: (loop_joint_event_perm(g), loop_marginal_event_perm(g)) for g in kept}
 
     def orbit_counts(gens):
-        joint = bfs_orbit_ids([loop_joint_event_perm(h) for h in gens], sizes[0])
-        marg = bfs_orbit_ids([loop_marginal_event_perm(h) for h in gens], sizes[1])
+        joint = bfs_orbit_ids([perms[h][0] for h in gens], sizes[0])
+        marg = bfs_orbit_ids([perms[h][1] for h in gens], sizes[1])
         return len(np.unique(joint)), len(np.unique(marg))
 
     reduced = []
@@ -387,6 +386,63 @@ def test_generator_pass_drops_identities_and_duplicates(
     assert cert.generators == reference.generators
     assert np.array_equal(cert.joint_orbits, reference.joint_orbits)
     assert np.array_equal(cert.marginal_orbits, reference.marginal_orbits)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    party_symmetrized_functionals(SCENARIOS),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+    st.integers(0, 2**16),
+    st.sampled_from([1, 200]),
+)
+def test_generator_pass_skips_products_of_earlier_generators(
+    functional, include_party_perms, halved, shuffled, padded, seed, gather_elements
+):
+    """Gathers this small make the pass skip the generators that are
+    products of two listed before them.  On symmetry lists, whole or a
+    random half (where products may be missing), in search order or
+    shuffled, with identities and repeats inserted or not, it keeps exactly
+    the recount's generators and closes to the breadth-first orbits of the
+    whole list.  Each skipped generator is a @ k for entries a and k listed
+    before it, and a non-symmetry planted anywhere still raises."""
+    sc = functional.scenario
+    found = find_symmetries(functional, include_party_perms=include_party_perms)
+    rng = np.random.default_rng(seed)
+    generators = [g for g in found if not halved or rng.random() < 0.5]
+    assume(generators)
+    if shuffled:
+        generators = [generators[i] for i in rng.permutation(len(generators))]
+    if padded:
+        extras = [identity_relabeling(sc)] * 2 + [found[i] for i in rng.integers(0, len(found), 4)]
+        for extra in extras:
+            generators.insert(int(rng.integers(len(generators) + 1)), extra)
+    patched = mock.patch.object(bellcert.symmetry, "_GATHER_ELEMENTS", gather_elements)
+    with patched:
+        cert = certify_uniform(functional, generators, JointQuery(sc.input_tuple(0)))
+        marked = np.flatnonzero(_products(sc, np.array([g._images for g in generators])))
+    assert cert.generators == tuple(recount_reduce(generators))
+    n_joint, n_marg = sc.num_inputs * sc.num_outcomes, _marginal_offsets(sc)[-1]
+    joint = bfs_orbit_ids([loop_joint_event_perm(g) for g in generators], n_joint)
+    marg = bfs_orbit_ids([loop_marginal_event_perm(g) for g in generators], n_marg)
+    assert np.array_equal(cert.joint_orbits, joint)
+    assert np.array_equal(cert.marginal_orbits, marg)
+
+    first = {}
+    for i, g in enumerate(generators):
+        first.setdefault(g, i)
+    for i in marked:
+        g = generators[i]
+        assert any(first.get(a.inverse() @ g, i) < i for a in generators[:i])
+
+    candidates = (random_relabeling(sc, rng) for _ in range(20))
+    planted = next((h for h in candidates if not is_symmetry(h, functional)), None)
+    if planted is not None:  # else every relabeling drawn is a symmetry
+        generators.insert(int(rng.integers(len(generators) + 1)), planted)
+        with patched, pytest.raises(ValidationError, match="not a symmetry"):
+            certify_uniform(functional, generators)
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS + [lifted_chsh_c().scenario])
