@@ -128,6 +128,8 @@ class BellFunctional:
 
     def _set(self, scenario, table, log2_den, orientation, name) -> None:
         orientation = _choice(orientation, "orientation", ("max", "min"))
+        if not isinstance(name, str):
+            raise ValidationError(f"name must be a string, got {name!r}")
         # cancel the powers of two every entry shares with 2**log2_den
         bits = int(np.bitwise_or.reduce(table, axis=None))
         shift = min(log2_den, (bits & -bits).bit_length() - 1) if bits else log2_den

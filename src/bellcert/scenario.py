@@ -7,7 +7,7 @@ Conventions shared by the whole package:
 * Joint settings and joint outcomes are flattened in mixed-radix row-major
   order with party 0 as the most significant digit.
 * For ``d = 2`` the physical outcome labels are ``+1`` (index 0) and ``-1``
-  (index 1); :func:`outcome_sign` converts.  For ``d > 2`` the labels are
+  (index 1); :attr:`Scenario.outcome_signs` holds them.  For ``d > 2`` the labels are
   ``0..d-1`` and outcome arithmetic is modulo ``d``.
 
 A table over a scenario, such as a behavior's ``P(a|x)`` or a functional's
@@ -145,11 +145,6 @@ def _mixed_radix(digits, what: str, radices: Sequence[int], strides: Sequence[in
     for i, (v, r, s) in enumerate(zip(digits, radices, strides)):
         index += _integer(v, f"{what} of party {i}", 0, r) * s
     return index
-
-
-def outcome_sign(index: int) -> int:
-    """Physical +-1 label of a two-outcome index (0 -> +1, 1 -> -1)."""
-    return 1 - 2 * index
 
 
 @dataclass(frozen=True)

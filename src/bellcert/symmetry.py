@@ -437,8 +437,8 @@ def find_symmetries(
     images = [_party_images(m, d) for m in scenario.settings]
     counts = [len(local) for local in images]
     k = _head_parties(scenario)
-    head, tail = _block_combinations(images[:k]), _block_combinations(images[k:])
-    shape = (head.shape[1], tail.shape[1])
+    head, tails = _block_combinations(images[:k]), math.prod(counts[k:])
+    shape = (head.shape[1], math.prod(m * d for m in scenario.settings[k:]))
     table = _paired(scenario, functional.table).reshape([m * d for m in scenario.settings])
 
     columns, ids = np.unique(_rows(table.reshape(shape).T), return_inverse=True)
@@ -458,7 +458,7 @@ def find_symmetries(
             count = np.searchsorted(keys, labels, side="right", sorter=order) - first
             perm_heads = np.repeat(p * len(head) + lo + np.arange(len(count)), count)
             starts = np.repeat(first + count - np.cumsum(count), count) + np.arange(perm_heads.size)
-            found.append(perm_heads * len(tail) + order[starts])
+            found.append(perm_heads * tails + order[starts])
 
     # each hit's row: every party's block images, moved to the block of its slot
     perm_ids, *blocks = np.unravel_index(np.concatenate(found), [len(party_perms), *counts])
@@ -498,30 +498,6 @@ def _join(labels: np.ndarray, perm: np.ndarray) -> np.ndarray:
             labels = deeper
 
 
-def _row_hashes(rows: np.ndarray) -> np.ndarray:
-    """An int64 hash of each row of an integer matrix: its dot product,
-    wrapping modulo 2^64, with fixed pseudorandom weights.  Equal rows hash
-    equal, whatever their dtype; the rows are widened to int64 in chunks."""
-    width = rows.shape[-1]
-    weights = np.arange(1, width + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    weights ^= weights >> np.uint64(31)
-    weights *= np.uint64(0xBF58476D1CE4E5B9)
-    weights ^= weights >> np.uint64(27)
-    step = max(1, _GATHER_ELEMENTS // width)
-    chunks = range(0, len(rows), step)
-    return np.concatenate([rows[lo : lo + step] @ weights.view(np.int64) for lo in chunks])
-
-
-def _firsts(values: np.ndarray) -> np.ndarray:
-    """For each entry, the position of the first entry equal to it."""
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
-    first = np.empty_like(order)
-    first[order] = np.repeat(order[starts], np.diff(np.r_[starts, values.size]))
-    return first
-
-
 def _products(scenario: Scenario, rows: np.ndarray) -> np.ndarray:
     """Which rows of single-party event images are a∘k, for rows a and k
     listed before them.
@@ -530,33 +506,29 @@ def _products(scenario: Scenario, rows: np.ndarray) -> np.ndarray:
     head events and the slot of each tail party.  Then k = a⁻¹∘g fixes the
     head events and the party order, so in the search's order it is listed
     among the first hits.  The key only picks a: g is marked only where k,
-    looked up by hash and compared exactly, is a row listed before g.  The
-    lookup runs in chunks of ``_GATHER_ELEMENTS`` and in the rows' dtype.
+    looked up by its bytes, is a row listed before g.  Keys, rows and k
+    share the rows' dtype; k is built in chunks of ``_GATHER_ELEMENTS``.
     """
     count, width = rows.shape
     marked = np.zeros(count, dtype=bool)
     offsets = _marginal_offsets(scenario)
     head = _head_parties(scenario)
     slots = np.repeat(np.arange(scenario.parties, dtype=rows.dtype), np.diff(offsets))
-    first = _firsts(
-        _row_hashes(np.hstack((rows[:, : offsets[head]], slots[rows[:, offsets[head:-1]]])))
-    )
+    keys = _rows(np.hstack((rows[:, : offsets[head]], slots[rows[:, offsets[head:-1]]])))
+    order = np.argsort(keys, kind="stable")  # rows with equal keys stay in order
+    first = order[np.searchsorted(keys, keys, sorter=order)]
     later = np.flatnonzero(first != np.arange(count))  # the rows whose a comes before them
-    if not later.size:  # no two keys are equal
-        return marked
-    first = first[later]
-    hashes = _row_hashes(rows)
-    by_hash = np.argsort(hashes, kind="stable")
+    keys = _rows(rows)  # each row is its own key; reusing the names frees the head keys
+    order = np.argsort(keys, kind="stable")
     step = max(1, _GATHER_ELEMENTS // width)
     for lo in range(0, later.size, step):
-        g, a = later[lo : lo + step], first[lo : lo + step]
+        g = later[lo : lo + step]
         inverse = np.empty((g.size, width), dtype=rows.dtype)
-        np.put_along_axis(inverse, rows[a], np.arange(width), axis=1)
-        k = np.take_along_axis(inverse, rows[g], axis=1)
-        # the first row with k's hash, which is k itself unless two rows collide
-        at = np.searchsorted(hashes, _row_hashes(k), sorter=by_hash)
-        j = by_hash[np.minimum(at, count - 1)]
-        marked[g] = (j < g) & (rows[j] == k).all(axis=1)
+        np.put_along_axis(inverse, rows[first[g]], np.arange(width), axis=1)
+        k = _rows(np.take_along_axis(inverse, rows[g], axis=1))
+        # the first row equal to k, if any row is
+        j = order[np.minimum(np.searchsorted(keys, k, sorter=order), count - 1)]
+        marked[g] = (j < g) & (keys[j] == k)
     return marked
 
 

@@ -442,6 +442,28 @@ def test_a_malformed_functional_file_is_one_json_error_line(capsys, tmp_path):
     assert json.loads(lines[0])["code"] == "invalid-input"
 
 
+@pytest.mark.parametrize("name", [5, None, 1.5, ["f"], {"f": 1}])
+def test_a_functional_name_that_is_no_string_is_a_data_error(capsys, tmp_path, name):
+    """The constructor, the correlator builder and the document reader all
+    refuse the label, and the CLI reports it as one invalid-input line."""
+    document = {"settings": [2, 2], "outcomes": 2, "terms": [], "name": name}
+    builders = [
+        lambda: bellcert.BellFunctional(SC, {}, name=name),
+        lambda: bellcert.from_correlator_terms(SC, {}, name=name),
+        lambda: bellcert.functional_from_dict(document),
+    ]
+    for build in builders:
+        with pytest.raises(ValidationError, match="name must be a string"):
+            build()
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(document))
+    code = main(["local-bound", "--file", str(path)])
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert (code, out, len(lines)) == (1, "", 1)
+    assert json.loads(lines[0])["code"] == "invalid-input"
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_correlators_of_a_behavior_equal_the_checked_form(seed):
     """``correlators_from_behavior`` skips the key reader for the keys it builds."""

@@ -407,7 +407,8 @@ def test_generator_pass_skips_products_of_earlier_generators(
     shuffled, with identities and repeats inserted or not, it keeps exactly
     the recount's generators and closes to the breadth-first orbits of the
     whole list.  Each skipped generator is a @ k for entries a and k listed
-    before it, and a non-symmetry planted anywhere still raises."""
+    before it, the same rows mark the same in int64 and in the narrow dtype,
+    and a non-symmetry planted anywhere still raises."""
     sc = functional.scenario
     found = find_symmetries(functional, include_party_perms=include_party_perms)
     rng = np.random.default_rng(seed)
@@ -422,7 +423,11 @@ def test_generator_pass_skips_products_of_earlier_generators(
     patched = mock.patch.object(bellcert.symmetry, "_GATHER_ELEMENTS", gather_elements)
     with patched:
         cert = certify_uniform(functional, generators, JointQuery(sc.input_tuple(0)))
-        marked = np.flatnonzero(_products(sc, np.array([g._images for g in generators])))
+        rows = np.array([g._images for g in generators])
+        marked = np.flatnonzero(_products(sc, rows))
+        # certification hands the pass its rows in the narrowest dtype that holds them
+        narrow = np.flatnonzero(_products(sc, rows.astype(np.min_scalar_type(rows.shape[1]))))
+    assert np.array_equal(narrow, marked)
     assert cert.generators == tuple(recount_reduce(generators))
     n_joint, n_marg = sc.num_inputs * sc.num_outcomes, _marginal_offsets(sc)[-1]
     joint = bfs_orbit_ids([loop_joint_event_perm(g) for g in generators], n_joint)
