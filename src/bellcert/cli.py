@@ -16,14 +16,12 @@ all JSON payloads use 0-based indices.
 from __future__ import annotations
 
 import argparse
-import itertools
+import functools
 import json
 import math
 import sys
 from collections import namedtuple
 from typing import Callable, NamedTuple, Sequence
-
-import numpy as np
 
 from . import __version__
 from .functionals import (
@@ -41,6 +39,7 @@ from .functionals import (
     tilted_chsh,
 )
 from .quantum import (
+    _uniqueness_evidence,
     behavior_from_model,
     model_to_dict,
     optimize_violation,
@@ -248,7 +247,9 @@ def _cmd_randomness(args: argparse.Namespace) -> dict:
 # globals are looked up when a demo runs, not when the table is built.
 
 _TILT = 0.5
-_PROBE_SEEDS = (11, 12, 13)
+_EVIDENCE_NOTE = (
+    "read off this run's see-saw restarts: evidence for a unique maximizer, not a proof"
+)
 _DemoRun = namedtuple("_DemoRun", "document functional generators cert queries behavior")
 
 
@@ -259,7 +260,7 @@ class _Demo(NamedTuple):
     observed: bool = False  # report the see-saw's randomness at the queries
     shift_only: bool = False  # certify with the outcome shift alone
     model: Callable | None = None  # explicit model instead of the see-saw
-    probe: bool = False  # compare the optima of three more seeds
+    probe: bool = False  # report the see-saw restarts' uniqueness evidence
     bound_keys: tuple[str, ...] = ()  # extra local_bound fields
 
 
@@ -277,14 +278,6 @@ def _cross_check_block(cert, behavior, reports) -> dict:
         "queries": per_query,
         "assumes_unique_maximizer": cert.assumes_unique_maximizer,
     }
-
-
-def _uniqueness_probe(functional) -> dict:
-    """Distinct-seed behaviors compared pairwise; reported without judgment."""
-    behaviors = [optimize_violation(functional, seed=s).behavior for s in _PROBE_SEEDS]
-    pairs = itertools.combinations(behaviors, 2)
-    worst = max(float(np.abs(p.table - q.table).max()) for p, q in pairs)
-    return {"seeds": list(_PROBE_SEEDS), "max_pairwise_table_distance": worst}
 
 
 def _even_primed(functional) -> list[JointQuery]:
@@ -351,12 +344,18 @@ def _chained_global_fields(run: _DemoRun) -> dict:
     }
 
 
+@functools.cache
+def _five_party_bits() -> tuple[tuple[str, float], ...]:
+    """mermin(5)'s certified bits at its even-primed joint inputs, once per process."""
+    five = mermin(5)
+    cert = certify_uniform(five, find_symmetries(five))
+    return tuple((_query_key(q), cert.certified_bits(q)) for q in _even_primed(five))
+
+
 def _mermin_odd_fields(run: _DemoRun) -> dict:
     parties = run.functional.scenario.parties
     correlators = correlators_from_behavior(run.behavior).values
-    five = mermin(5)
-    cert5 = certify_uniform(five, find_symmetries(five))
-    bits5 = {_query_key(q): cert5.certified_bits(q) for q in _even_primed(five)}
+    bits5 = dict(_five_party_bits())
     bits3 = {_query_key(q): run.cert.certified_bits(q) for q in run.queries}
     return {
         "max_abs_correlator_absent_from_inequality": max(
@@ -467,6 +466,9 @@ def _run_demo(name: str, seed: int) -> dict:
         result = optimize_violation(functional, seed=seed)
         behavior = result.behavior
         document["optimization"] = _optimum(result)
+        if spec.probe:
+            evidence = _uniqueness_evidence(functional, result)
+            document["uniqueness_probe"] = {**evidence, "note": _EVIDENCE_NOTE}
     else:
         behavior = behavior_from_model(spec.model())
     reports = {q: observed_report(behavior, q) for q in queries}
@@ -475,8 +477,6 @@ def _run_demo(name: str, seed: int) -> dict:
         document["optimization"]["observed"] = observed
     if cert is not None:
         document["cross_check"] = _cross_check_block(cert, behavior, reports)
-    if spec.probe:
-        document["uniqueness_probe"] = _uniqueness_probe(functional)
     run = _DemoRun(document, functional, generators, cert, queries, behavior)
     document.update(spec.fields(run))
     return document

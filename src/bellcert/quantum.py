@@ -320,7 +320,8 @@ class OptimizationResult:
     ``traces`` holds the orientation-signed objective after every half-step
     of every restart; ``trace`` is the best restart's sequence.  ``value``
     equals the functional evaluated on ``behavior`` which is the Born-rule
-    behavior of ``model``.
+    behavior of ``model``.  ``_finals`` keeps every restart's final party
+    (restarts, M_i, 3) Bloch vectors, which :func:`_uniqueness_evidence` reads.
     """
 
     value: float
@@ -331,6 +332,7 @@ class OptimizationResult:
     seed: int
     restart: int
     traces: tuple[tuple[float, ...], ...]
+    _finals: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     @property
     def trace(self) -> tuple[float, ...]:
@@ -474,7 +476,7 @@ def optimize_violation(
     model = _optimum_model(functional, [b[best] for b in final])
     behavior = behavior_from_model(model)
     value = evaluate(functional, behavior)
-    return OptimizationResult(
+    result = OptimizationResult(
         value=value,
         model=model,
         behavior=behavior,
@@ -484,6 +486,37 @@ def optimize_violation(
         restart=best,
         traces=tuple(tuple(tr) for tr in traces),
     )
+    object.__setattr__(result, "_finals", tuple(final))
+    return result
+
+
+def _uniqueness_evidence(functional: BellFunctional, result: OptimizationResult) -> dict:
+    """Evidence for a unique maximizer, read off the restarts of one see-saw run.
+
+    The restarts whose final orientation-signed value is within 1e-9 of the
+    best are rebuilt in one batch, each as :func:`_optimum_model` and
+    :func:`behavior_from_model` build one, bit for bit.  Reports their
+    count, the largest spread of one Born-rule probability among them, and
+    the gap between the two extremal eigenvalues of the best restart's Bell
+    operator (zero when the optimal state is degenerate).  Evidence, not a
+    proof: every restart may miss another maximizer.
+    """
+    sc = functional.scenario
+    values = np.array([tr[-1] for tr in result.traces])
+    near = np.flatnonzero(values[result.restart] - values <= 1e-9)
+    stacks = [_qubit_stacks(b[near]) for b in result._finals]
+    vals, vecs = np.linalg.eigh(_bell_operators(_paired(sc, functional.float_table), stacks))
+    pick = -1 if functional.orientation == "max" else 0
+    rho = _density(vecs[:, :, pick], (2,) * sc.parties)
+    tables = np.clip(_traced(rho, stacks).real, 0.0, 1.0)  # as Behavior clamps them
+    best = vals[np.searchsorted(near, result.restart)]
+    extremal = best[-2:] if pick else best[:2]
+    return {
+        "restarts": len(values),
+        "restarts_at_best": int(near.size),
+        "max_table_distance_at_best": float((tables.max(axis=0) - tables.min(axis=0)).max()),
+        "extremal_eigenvalue_gap": float(extremal[1] - extremal[0]),
+    }
 
 
 # --- JSON serialization ------------------------------------------------------

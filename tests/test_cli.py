@@ -239,6 +239,24 @@ class TestDemos:
         assert doc["qudit_model_value"] < 2.0
         assert doc["cross_check"]["worst_orbit_equality_violation"] < 1e-12
 
+    def test_mermin_odd_searches_five_parties_once_per_process(self, capsys, monkeypatch):
+        """The five-party block is the same on every run: a second run prints
+        the same bytes and searches only mermin(3)."""
+        bellcert.cli._five_party_bits.cache_clear()
+        searched = []
+        search = bellcert.cli.find_symmetries
+
+        def recording(functional, **options):
+            searched.append(functional.scenario.parties)
+            return search(functional, **options)
+
+        monkeypatch.setattr(bellcert.cli, "find_symmetries", recording)
+        _, first, _ = run_cli(capsys, "demo", "mermin-odd", "--seed", "0")
+        assert sorted(searched) == [3, 5]
+        searched.clear()
+        _, second, _ = run_cli(capsys, "demo", "mermin-odd", "--seed", "0")
+        assert second == first and searched == [3]
+
     def test_demo_determinism(self, capsys):
         _, out1, _ = run_cli(capsys, "demo", "chsh", "--seed", "1")
         _, out2, _ = run_cli(capsys, "demo", "chsh", "--seed", "1")

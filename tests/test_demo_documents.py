@@ -1,7 +1,10 @@
 """Every `bellcert demo <name> --seed 0` document, pinned field by field.
 
 ``demo_documents.json`` holds the seven documents as printed when each demo
-still had its own function, before they shared one code path.  Key sets,
+still had its own function, before they shared one code path.  Two blocks
+were re-pinned since: the ``uniqueness_probe`` of ``chained-global`` and of
+``lifted``, when it stopped running three more seeds and began reporting the
+evidence that the demo's own see-saw restarts hold.  Key sets,
 ints, bools and strings must match exactly; floats within 1e-9, since
 see-saw floats may move in the last bits when the numerics are reorganized.
 """
