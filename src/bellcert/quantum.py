@@ -61,6 +61,11 @@ PAULIS = np.array(
     ],
     dtype=complex,
 )
+# (3, 16) and (16,): the (re, im) parts of sigma_k and then -sigma_k, and of I twice,
+# entry by entry; see _qubit_stacks
+_SIGNED_PAULIS = np.concatenate([PAULIS, -PAULIS], axis=1).reshape(3, 8).view(float)
+_IDENTITIES = np.tile(np.eye(2, dtype=complex).reshape(4), 2).view(float)
+_PAULI_ROWS = PAULIS.reshape(3, 4)  # sigma_k[p, q] at [k, 2 * p + q]
 
 
 def qubit_projectors(bloch: Sequence[float]) -> np.ndarray:
@@ -71,7 +76,7 @@ def qubit_projectors(bloch: Sequence[float]) -> np.ndarray:
     norm = float(np.linalg.norm(n))
     if not abs(norm - 1.0) <= 1e-9:
         raise ValidationError(f"Bloch vector must be unit length, got norm {norm}")
-    return _qubit_stacks(n[None, None])[0]
+    return _qubit_stacks(n[None, None]).reshape(2, 2, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,11 +246,16 @@ def _party_stacks(
     return stacks
 
 
+def _flat(stacks: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """(R, M_i * d, D_i, D_i) projector stacks as flat (R, M_i * d, D_i**2) ones."""
+    return [s.reshape(*s.shape[:2], -1) for s in stacks]
+
+
 def _bell_operators(coeffs: np.ndarray, stacks: Sequence[np.ndarray]) -> np.ndarray:
-    """(R, D, D) Bell operators of paired coefficients and (R, M_i * d, D_i, D_i) stacks."""
-    dims = [s.shape[-1] for s in stacks]
+    """(R, D, D) Bell operators of paired coefficients and flat (R, M_i * d, D_i**2) stacks."""
+    dims = [math.isqrt(s.shape[-1]) for s in stacks]
     n = len(dims)
-    op = _contract(coeffs.reshape(1, -1), [s.reshape(*s.shape[:2], -1) for s in stacks])
+    op = _contract(coeffs.reshape(1, -1), stacks)
     op = op.reshape(-1, *(k for dim in dims for k in (dim, dim)))
     op = op.transpose(0, *range(1, 2 * n, 2), *range(2, 2 * n + 1, 2))
     return op.reshape(-1, math.prod(dims), math.prod(dims))
@@ -258,21 +268,20 @@ def _density(psi: np.ndarray, dims: Sequence[int]) -> np.ndarray:
 
 
 def _traced(rho: np.ndarray, stacks: Sequence[np.ndarray]) -> np.ndarray:
-    """Trace densities against party stacks in order, leaving each (x_j, a_j) open.
+    """Trace densities against flat party stacks in order, leaving each (x_j, a_j) open.
 
     Parties of ``rho`` beyond the traced ones keep their (p, q) axes, ahead
     of the open (x_j, a_j) axes in the result.
     """
-    mats = [s.reshape(*s.shape[:2], -1).swapaxes(1, 2) for s in stacks]
-    return _contract(rho.reshape(rho.shape[0], -1), mats)
+    return _contract(rho.reshape(rho.shape[0], -1), [s.swapaxes(1, 2) for s in stacks])
 
 
 def _gradient_weights(coeffs: np.ndarray, party: int) -> np.ndarray:
     """(rest, M_i) weights sum_{a_i} c(x, a) (1/2, -1/2)[a_i], party i's setting last,
-    the rest of the (x, a) axes in order."""
+    the rest of the (x, a) axes in order; complex, as the traced densities they meet."""
     weights = np.tensordot(coeffs, [0.5, -0.5], ([2 * party + 1], [0]))
     weights = np.moveaxis(weights, 2 * party, 0)
-    return weights.reshape(weights.shape[0], -1).T
+    return weights.reshape(weights.shape[0], -1).T.astype(complex)
 
 
 def _bloch_gradients(
@@ -281,26 +290,32 @@ def _bloch_gradients(
     """(R, M_i, 3) gradients v: the objective is const + sum_x v[x] . n_x for party i.
 
     ``rho`` holds party i's (p, q) axes last, ``others`` the other parties'
-    stacks and ``weights`` party i's :func:`_gradient_weights`.
+    flat stacks and ``weights`` party i's :func:`_gradient_weights`.
     """
     traced = _traced(rho, others)
     grad = traced.reshape(rho.shape[0], 4, -1) @ weights
-    return np.real(PAULIS.reshape(3, 4) @ grad).swapaxes(1, 2)
+    # contiguous, since each see-saw move reads it four times
+    return np.ascontiguousarray((_PAULI_ROWS @ grad).real.swapaxes(1, 2))
 
 
 def _qubit_stacks(bloch: np.ndarray) -> np.ndarray:
-    """(R, M * 2, 2, 2) projector stacks of (R, M, 3) Bloch vectors, outcome +1 first."""
-    obs = np.einsum("rmk,kij->rmij", bloch, PAULIS)
-    eye = np.eye(2, dtype=complex)
-    stacks = np.stack([(eye + obs) / 2, (eye - obs) / 2], axis=2)
-    return stacks.reshape(-1, bloch.shape[1] * 2, 2, 2)
+    """Flat (R, M * 2, 4) projector stacks of (R, M, 3) Bloch vectors, outcome +1 first.
+
+    Both I +- n . sigma are one product with the constant (re, im) parts of
+    +-sigma, plus those of I.  Every real and imaginary part of an entry has
+    one nonzero Pauli term, so the product is exact and each sum rounds as
+    in an einsum over the Paulis; halving last, as (I +- n . sigma) / 2
+    does, keeps every bit, down to a zero's sign at the smallest subnormals.
+    """
+    doubled = _IDENTITIES + bloch.reshape(-1, 3) @ _SIGNED_PAULIS
+    return (doubled / 2).view(complex).reshape(-1, bloch.shape[1] * 2, 4)
 
 
 def behavior_from_model(model: QuantumModel) -> Behavior:
     """Born-rule behavior of a model."""
     sc = model.scenario
     rho = _density(model.state.reshape(1, -1), model.local_dims)
-    probs = _traced(rho, model._stacks).real
+    probs = _traced(rho, _flat(model._stacks)).real
     return Behavior(sc, _unpaired(sc, probs))
 
 
@@ -310,7 +325,7 @@ def bell_operator(
     """Hermitian operator sum c(a,x) prod_i Pi^{a_i}_{x_i} for fixed measurements."""
     sc = functional.scenario
     stacks = _party_stacks(sc, measurements)
-    return _bell_operators(_paired(sc, functional.float_table), stacks)[0]
+    return _bell_operators(_paired(sc, functional.float_table), _flat(stacks))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,12 +390,14 @@ def _seesaw(
     2^N, 2^N) arrays, and a restart leaves its slice at the iteration where
     it converges.  Gradient weights and density axis orders are fixed for
     the run, and the projector stacks an iteration's moves build are the
-    next iteration's stacks.
+    next iteration's stacks.  A minimizing run negates its gradients and
+    steps, exactly as multiplying by the orientation sign -1 does; the
+    traces are collected once, after the loop.
     """
     sc = functional.scenario
     n = sc.parties
-    sign = 1.0 if functional.orientation == "max" else -1.0
-    pick = -1 if sign > 0 else 0
+    maximize = functional.orientation == "max"
+    pick = -1 if maximize else 0
     restarts = starts[0].shape[0]
     coeffs = _paired(sc, functional.float_table)
     weights = [_gradient_weights(coeffs, i) for i in range(n)]
@@ -390,9 +407,8 @@ def _seesaw(
         for i in range(n)
     ]
     final = [np.empty_like(b) for b in starts]
-    iterations = np.zeros(restarts, dtype=int)
     converged = np.zeros(restarts, dtype=bool)
-    traces: list[list[float]] = [[] for _ in range(restarts)]
+    history: list[tuple[np.ndarray, np.ndarray]] = []  # each iteration's live restarts and values
     size = max(1, _GATHER_ELEMENTS // 4**n)
     for lo in range(0, restarts, size):
         bloch = [b[lo : lo + size] for b in starts]
@@ -402,35 +418,46 @@ def _seesaw(
         for it in range(1, max_iters + 1):
             vals, vecs = np.linalg.eigh(_bell_operators(coeffs, stacks))
             rho = _density(vecs[:, :, pick], (2,) * n)
-            steps = [sign * vals[:, pick, None]]
+            steps = [vals[:, pick, None]]
             # no term pairs two settings of one party, so all of a party's
             # settings move at once and each move is still an exact optimum
             for i in range(n):
                 others = stacks[:i] + stacks[i + 1 :]
                 v = _bloch_gradients(rho.transpose(axes[i]), others, weights[i])
                 norm = np.sqrt((v * v).sum(axis=-1, keepdims=True))  # np.linalg.norm's formula
-                moved = norm > 1e-14
-                new = np.where(moved, sign * v / np.where(moved, norm, 1.0), bloch[i])
-                # exact objective change of each coordinate step
-                steps.append(sign * ((new * v).sum(axis=-1) - (bloch[i] * v).sum(axis=-1)))
+                towards = v if maximize else -v
+                new = np.divide(towards, norm, out=bloch[i].copy(), where=norm > 1e-14)
+                # exact objective change of each coordinate step, before the orientation sign
+                steps.append((new * v).sum(axis=-1) - (bloch[i] * v).sum(axis=-1))
                 bloch[i] = new
                 stacks[i] = _qubit_stacks(new)
-            values = np.cumsum(np.concatenate(steps, axis=1), axis=1)
-            for r, row in zip(live, values.tolist()):
-                traces[r].extend(row)
+            steps = np.concatenate(steps, axis=1)
+            values = (steps if maximize else -steps).cumsum(axis=1)
+            history.append((live, values))
             current = values[:, -1]
             done = current - prev < tol
             stop = done | (it == max_iters)
-            iterations[live[stop]] = it
-            converged[live[stop]] = done[stop]
+            if not stop.any():
+                prev = current
+                continue
+            gone = live[stop]
+            converged[gone] = done[stop]
             for i in range(n):
-                final[i][live[stop]] = bloch[i][stop]
+                final[i][gone] = bloch[i][stop]
             keep = ~stop
             live, prev = live[keep], current[keep]
             if not live.size:
                 break
             bloch = [b[keep] for b in bloch]
             stacks = [s[keep] for s in stacks]
+    # a restart is live from the first iteration to its last, so a stable sort
+    # by restart puts each restart's rows together, in iteration order
+    lives = np.concatenate([live for live, _ in history])
+    rows = np.concatenate([values for _, values in history])
+    iterations = np.bincount(lives, minlength=restarts)
+    flat = rows[np.argsort(lives, kind="stable")].ravel().tolist()
+    ends = np.cumsum(iterations * rows.shape[1]).tolist()
+    traces = [flat[a:b] for a, b in zip([0, *ends], ends)]
     return final, iterations, converged, traces
 
 
@@ -499,7 +526,12 @@ def _uniqueness_evidence(functional: BellFunctional, result: OptimizationResult)
     count, the largest spread of one Born-rule probability among them, and
     the gap between the two extremal eigenvalues of the best restart's Bell
     operator (zero when the optimal state is degenerate).  Evidence, not a
-    proof: every restart may miss another maximizer.
+    proof: every restart may miss another maximizer.  A restart stops when
+    its value gains less than ``tol``, and near the optimum the value moves
+    with the square of the distance to it, so the near-best behaviors are
+    settled only to about sqrt(tol): read the table distance against
+    sqrt(tol), not against a fixed threshold such as 1e-9 (chained-global
+    at the default tol 1e-10 gives 1.6-1.8e-6 at seeds 0-2).
     """
     sc = functional.scenario
     values = np.array([tr[-1] for tr in result.traces])

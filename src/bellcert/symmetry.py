@@ -615,9 +615,10 @@ class UniformityCertificate:
 
     ``joint_orbits[x * num_outcomes + a]`` and ``marginal_orbits`` hold orbit
     ids for joint and single-party events.  Certified bits at a query equal
-    log2 of the smallest forced-equal class among the events at that query.
-    Every certificate is conditional on uniqueness: ``assumes_unique_maximizer``
-    and ``assumption`` belong to the type, not to an instance.
+    log2 of the smallest forced-equal class among the events at that query;
+    they are tabled for every query at once, on first use.  Every certificate
+    is conditional on uniqueness: ``assumes_unique_maximizer`` and
+    ``assumption`` belong to the type, not to an instance.
     """
 
     functional: BellFunctional
@@ -641,20 +642,46 @@ class UniformityCertificate:
 
     def marginal_classes(self, party: int, setting: int) -> list[list[int]]:
         """Outcome classes forced equiprobable for one party's setting."""
+        base = self._marginal_base(party, setting)
+        return _classes(self.marginal_orbits[base : base + self.functional.scenario.outcomes])
+
+    def _marginal_base(self, party: int, setting: int) -> int:
+        """The checked position of one party's setting's first outcome in ``marginal_orbits``."""
         sc = self.functional.scenario
         party = _integer(party, "party", 0, sc.parties)
         setting = _integer(setting, f"setting of party {party}", 0, sc.settings[party])
-        base = _marginal_offsets(sc)[party] + setting * sc.outcomes
-        return _classes(self.marginal_orbits[base : base + sc.outcomes])
+        return _marginal_offsets(sc)[party] + setting * sc.outcomes
 
     def _query_classes(self, query: JointQuery | LocalQuery) -> list[list[int]]:
         if isinstance(query, JointQuery):
             return self.joint_classes(query.settings)
         return self.marginal_classes(query.party, query.setting)
 
+    @cached_property
+    def _bits(self) -> list[float]:
+        """Certified bits of every joint input in index order, then of every
+        (party, setting) in order: log2 of the smallest class in each query's
+        block of orbit ids, from one sort of (block, orbit id) keys and their runs."""
+        sc = self.functional.scenario
+        ids = np.concatenate((self.joint_orbits, self.marginal_orbits))
+        block = np.concatenate((
+            np.arange(self.joint_orbits.size) // sc.num_outcomes,
+            sc.num_inputs + np.arange(self.marginal_orbits.size) // sc.outcomes,
+        ))
+        width = int(ids.max()) + 1
+        keys = np.sort(block * width + ids)
+        runs = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        sizes = np.diff(runs, append=keys.size)
+        firsts = np.flatnonzero(np.r_[True, np.diff(keys[runs] // width) != 0])
+        return [math.log2(k) for k in np.minimum.reduceat(sizes, firsts).tolist()]
+
     def certified_bits(self, query: JointQuery | LocalQuery) -> float:
         """Min-entropy bound at the query: log2 of the smallest event class."""
-        return math.log2(min(len(cls) for cls in self._query_classes(query)))
+        sc = self.functional.scenario
+        if isinstance(query, JointQuery):
+            return self._bits[sc.input_index(query.settings)]
+        base = self._marginal_base(query.party, query.setting)
+        return self._bits[sc.num_inputs + base // sc.outcomes]
 
 
 def certify_uniform(

@@ -10,8 +10,11 @@ The first batched see-saw (``_seesaw``, ``_seeded_starts``), as it stood
 before its loop constants were hoisted and its start draws stacked: it
 rebuilds every projector stack and gradient weight on every iteration and
 draws one normal triple per Bloch vector.  It keeps its own gradients and
-draws but uses the library's projector stacks and contractions, so it pins
-the hoisted loop's arithmetic bit for bit, not those helpers themselves.
+draws but uses the library's (flat) projector stacks and contractions, so it
+pins the hoisted loop's arithmetic bit for bit, not those helpers themselves.
+
+The projector stacks as the library first built them (``qubit_stacks``): an
+einsum over the Paulis, then (I + obs) / 2 and (I - obs) / 2 stacked.
 """
 
 from __future__ import annotations
@@ -74,6 +77,14 @@ def behavior_table(model) -> np.ndarray:
         probs = np.tensordot(psi.conj(), amp, axes=(list(range(n)), list(range(n))))
         table[x_idx] = probs.real.reshape(-1)
     return table
+
+
+def qubit_stacks(bloch: np.ndarray) -> np.ndarray:
+    """(R, M * 2, 2, 2) projector stacks of (R, M, 3) Bloch vectors, outcome +1 first."""
+    obs = np.einsum("rmk,kij->rmij", bloch, PAULIS)
+    eye = np.eye(2, dtype=complex)
+    stacks = np.stack([(eye + obs) / 2, (eye - obs) / 2], axis=2)
+    return stacks.reshape(-1, bloch.shape[1] * 2, 2, 2)
 
 
 def _measurement_update_vector(

@@ -1,8 +1,9 @@
 """The split-and-match symmetry search, the batched event maps, the
-one-pass orbit closure and the grouped orbit-equality check against the
-straightforward loops they replace."""
+one-pass orbit closure, the grouped orbit-equality check and the tabled
+certified bits against the straightforward loops they replace."""
 
 import itertools
+import math
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,7 @@ import bellcert
 from bellcert import (
     BellFunctional,
     JointQuery,
+    LocalQuery,
     Relabeling,
     Scenario,
     ScenarioMismatchError,
@@ -29,8 +31,9 @@ from bellcert import (
     pushforward_functional,
     search_space_size,
 )
-from bellcert.scenario import marginal
+from bellcert.scenario import _queries, marginal
 from bellcert.symmetry import (
+    _classes,
     _join,
     _joint_perms,
     _marginal_offsets,
@@ -540,6 +543,77 @@ def test_grouped_orbit_spread_matches_per_orbit_loop(
         fast = orbit_equality_violation(cert, behavior)
         assert type(fast) is float
         assert fast.hex() == loop_orbit_equality_violation(cert, behavior).hex()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    party_symmetrized_functionals(),
+    st.booleans(),
+    st.integers(0, 2**16),
+    st.sampled_from([0.0, 0.3, 1.0]),
+)
+def test_tabled_bits_equal_log2_of_the_smallest_class(functional, include_party_perms, seed, keep):
+    """At every query, on certificates from random subsets of the symmetries
+    (the empty one among them), the looked-up bits are log2 of the smallest
+    class ``_classes`` groups from the query's orbit ids."""
+    sc = functional.scenario
+    found = find_symmetries(functional, include_party_perms=include_party_perms)
+    rng = np.random.default_rng(seed)
+    cert = certify_uniform(functional, [g for g in found if rng.random() < keep])
+    joint, local = _queries(sc)
+    offsets = _marginal_offsets(sc)
+    for q in joint:
+        x = sc.input_index(q.settings) * sc.num_outcomes
+        ids = cert.joint_orbits[x : x + sc.num_outcomes]
+        want = math.log2(min(len(c) for c in _classes(ids)))
+        assert cert.certified_bits(q).hex() == want.hex()
+    for q in local:
+        base = offsets[q.party] + q.setting * sc.outcomes
+        ids = cert.marginal_orbits[base : base + sc.outcomes]
+        want = math.log2(min(len(c) for c in _classes(ids)))
+        assert cert.certified_bits(q).hex() == want.hex()
+
+
+def _fields(query, **values):
+    """The query with fields its constructor would refuse."""
+    for name, value in values.items():
+        object.__setattr__(query, name, value)
+    return query
+
+
+@pytest.mark.parametrize(
+    "query, message",
+    [
+        (JointQuery((2, 0)), "setting of party 0 must be an integer in 0..1, got 2"),
+        (JointQuery((0, 0, 0)), "settings must have 2 entries, got (0, 0, 0)"),
+        (
+            _fields(JointQuery((0, 0)), settings=(-1, 0)),
+            "setting of party 0 must be an integer in 0..1, got -1",
+        ),
+        (
+            _fields(JointQuery((0, 0)), settings=(0, True)),
+            "setting of party 1 must be an integer in 0..1, got True",
+        ),
+        (LocalQuery(2, 0), "party must be an integer in 0..1, got 2"),
+        (LocalQuery(1, 2), "setting of party 1 must be an integer in 0..1, got 2"),
+        (_fields(LocalQuery(0, 0), party=-1), "party must be an integer in 0..1, got -1"),
+        (_fields(LocalQuery(0, 0), party=True), "party must be an integer in 0..1, got True"),
+        (
+            _fields(LocalQuery(0, 0), setting=-2),
+            "setting of party 0 must be an integer in 0..1, got -2",
+        ),
+        (
+            _fields(LocalQuery(0, 0), setting=False),
+            "setting of party 0 must be an integer in 0..1, got False",
+        ),
+    ],
+)
+def test_tabled_bits_refuse_bad_queries_as_the_class_listing_does(query, message):
+    cert = certify_uniform(chsh(), find_symmetries(chsh()))
+    for lookup in (cert.certified_bits, cert._query_classes):
+        with pytest.raises(ValidationError) as raised:
+            lookup(query)
+        assert str(raised.value) == message
 
 
 def test_orbit_equality_violation_is_exported():
