@@ -58,11 +58,14 @@ from .scenario import (
 )
 from .symmetry import (
     SearchCapExceededError,
+    _orbit_closure,
     _relabeling_dicts,
+    _symmetry_rows,
     certify_uniform,
     find_symmetries,
     orbit_equality_violation,
     outcome_shift,
+    relabeling_to_dict,
 )
 
 
@@ -196,20 +199,20 @@ def _cmd_maximize(args: argparse.Namespace) -> dict:
 
 def _cmd_symmetries(args: argparse.Namespace) -> dict:
     functional = _build_functional(args)
-    found = find_symmetries(functional, **_given(args, "include_party_perms", "cap"))
+    rows = _symmetry_rows(functional, **_given(args, "include_party_perms", "cap"))
     return {
         "functional": functional.name,
         "include_party_perms": args.include_party_perms,
-        "count": len(found),
-        "symmetries": _relabeling_dicts(functional.scenario, found),
+        "count": len(rows),
+        "symmetries": _relabeling_dicts(functional.scenario, rows),
     }
 
 
 def _cmd_certify(args: argparse.Namespace) -> dict:
     functional = _build_functional(args)
     query = None if args.query is None else _parse_query(args.query, functional)
-    generators = find_symmetries(functional, **_given(args, "include_party_perms", "cap"))
-    cert = certify_uniform(functional, generators)
+    rows = _symmetry_rows(functional, **_given(args, "include_party_perms", "cap"))
+    cert = _orbit_closure(functional, rows)
     out = {
         "functional": functional.name,
         "generator_count": len(cert.generators),
@@ -305,7 +308,7 @@ def _tilted_fields(run: _DemoRun) -> dict:
         "eta": _TILT,
         "symmetries": {
             "count": len(run.generators),
-            "generators": _relabeling_dicts(run.functional.scenario, run.generators),
+            "generators": [relabeling_to_dict(g) for g in run.generators],
         },
         "marginal_correlators": {
             "A1": correlators.get((0,), (0,)),

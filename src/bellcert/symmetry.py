@@ -14,10 +14,10 @@ then output permutations (attached to the *image* setting), then the party
 permutation.  A relabeling is fixed by its images of the single-party events
 (party, setting, outcome), and this int64 row is all it stores: the group
 law is that of these permutations, inverse and composition act on the rows,
-the search assembles each hit's row from the block images it matched, and
-certification stacks the rows of its generators.  The blocks
-(``input_perms``, ``output_perms``, ``party_perm``) are decoded from the row
-on first read, and the JSON listing decodes a whole list of rows at once.
+and a list of symmetries is one matrix of rows from the search through
+certification to the JSON listing: a certificate wraps only the rows it
+keeps.  The blocks (``input_perms``, ``output_perms``, ``party_perm``) are
+decoded from the row on first read, and the listing in batches of rows.
 """
 
 from __future__ import annotations
@@ -214,12 +214,8 @@ def global_outcome_flip(scenario: Scenario) -> Relabeling:
 def outcome_shift(scenario: Scenario, step: int = 1) -> Relabeling:
     """Shift every outcome of every party and setting by ``step`` modulo d."""
     d, step = scenario.outcomes, _integer(step, "step")
-    perm = tuple((o + step) % d for o in range(d))
-    return Relabeling(
-        scenario,
-        tuple(tuple(range(m)) for m in scenario.settings),
-        tuple(tuple(perm for _ in range(m)) for m in scenario.settings),
-    )
+    events = np.arange(_marginal_offsets(scenario)[-1], dtype=np.int64)  # d-aligned settings
+    return Relabeling._from_images(scenario, events - events % d + (events + step % d) % d)
 
 
 # --- event images -------------------------------------------------------------
@@ -412,6 +408,15 @@ def find_symmetries(
     permutations and then each party's blocks.  Raises
     :class:`SearchCapExceededError` when the space exceeds ``cap``; callers
     may then supply hand-written generators to :func:`certify_uniform`.
+    """
+    rows = _symmetry_rows(functional, include_party_perms, cap)
+    return tuple(Relabeling._from_images(functional.scenario, row) for row in rows)
+
+
+def _symmetry_rows(
+    functional: BellFunctional, include_party_perms: bool = False, cap: int = DEFAULT_SEARCH_CAP
+) -> np.ndarray:
+    """The read-only event-image rows of :func:`find_symmetries`' hits, in its order.
 
     The search splits and matches instead of testing every candidate.  With
     the table as a matrix from a head group of parties' local events to the
@@ -467,8 +472,9 @@ def find_symmetries(
     hits = shifts[perm_ids]
     for i, chosen in enumerate(blocks):
         hits[:, offsets[i] : offsets[i + 1]] += images[i][chosen]
+    hits.setflags(write=False)  # and so are the views of its rows
     # the first match is the identity: the identity party permutation, block 0 of every party
-    return tuple(Relabeling._from_images(scenario, row) for row in hits[1:])
+    return hits[1:]
 
 
 # --- orbit closure and certificates ---------------------------------------------
@@ -532,22 +538,20 @@ def _products(scenario: Scenario, rows: np.ndarray) -> np.ndarray:
     return marked
 
 
-def _orbit_closure(
-    functional: BellFunctional, generators: Sequence[Relabeling]
-) -> tuple[list[Relabeling], np.ndarray, np.ndarray]:
-    """The generators that join orbits, and the joint and single-party orbit ids.
+def _orbit_closure(functional: BellFunctional, rows: np.ndarray) -> "UniformityCertificate":
+    """The certificate of generators given as rows of single-party event
+    images of the functional's scenario, in any integer dtype.
 
-    One pass: each generator must share the functional's scenario; each is
-    verified with the exact test of :func:`is_symmetry` (one gather per
-    chunk) and kept iff it joins two classes of the running partition of
-    joint and single-party events, side by side in one permutation.  Each
-    kept generator costs one gather of the rest of its chunk, which finds
-    the next generator that joins two classes.  The rule itself drops
-    identities and duplicates: an identity maps every class into itself,
-    and so does a repeat of an earlier generator, whose partition is
+    One pass: each row is verified with the exact test of :func:`is_symmetry`
+    (one gather per chunk) and kept iff it joins two classes of the running
+    partition of joint and single-party events, side by side in one
+    permutation.  Each kept generator costs one gather of the rest of its
+    chunk, which finds the next generator that joins two classes.  The rule
+    itself drops identities and duplicates: an identity maps every class into
+    itself, and so does a repeat of an earlier generator, whose partition is
     already closed under it.  The final partition is the closure of all
-    generators, since a dropped generator maps every class of the partition
-    at that point, and so of each coarser one, into itself.
+    generators, since a dropped generator maps every class of the partition at
+    that point, and so of each coarser one, into itself.
 
     Once the generators' events outnumber an eighth of one gather (below
     that, the lookup costs more than the gathers it saves), the pass skips
@@ -556,22 +560,16 @@ def _orbit_closure(
     k are symmetries, so g is one too; the partition at g is closed under a
     and k, so under g, and the rule would drop g.  The first non-symmetry
     in the list is thus never skipped, and raises.  Orbits are numbered in
-    the order of their smallest event.
+    the order of their smallest event.  Kept rows are wrapped as int64 copies.
     """
     sc = functional.scenario
-    generators = _entries(generators, "generators")
-    if any(g.scenario is not sc and g.scenario != sc for g in generators):
-        raise ScenarioMismatchError("generator scenario does not match functional")
     dense = functional.table.reshape(-1)
     labels = np.arange(dense.size + _marginal_offsets(sc)[-1])
     step = max(1, _GATHER_ELEMENTS // labels.size)
-    # the generators' images, stacked a chunk at a time in the narrowest dtype that holds them
-    width = labels.size - dense.size
-    rows = np.empty((len(generators), width), dtype=np.min_scalar_type(width))
-    for lo in range(0, len(generators), step):
-        rows[lo : lo + step] = np.array([g._images for g in generators[lo : lo + step]])
-    todo = np.arange(len(generators))
-    if len(generators) * labels.size > _GATHER_ELEMENTS // 8:  # below, the lookup costs more
+    # the rows, stacked once in the narrowest dtype that holds them (shorter byte compares)
+    rows = np.asarray(rows, np.min_scalar_type(labels.size - dense.size))
+    todo = np.arange(len(rows))
+    if len(rows) * labels.size > _GATHER_ELEMENTS // 8:  # below, the lookup costs more
         todo = todo[~_products(sc, rows)]
     kept: list[Relabeling] = []
     for lo in range(0, todo.size, step):
@@ -587,13 +585,14 @@ def _orbit_closure(
             if not joins.size:
                 break
             i += int(joins[0])
-            kept.append(generators[chunk[i]])
+            kept.append(Relabeling._from_images(sc, rows[chunk[i]].astype(np.int64)))
             labels = _join(labels, perms[i])
             i += 1
     # joint classes hold joint events only, so their labels sort first, and the
     # first single-party event, its class's smallest, has the first single-party id
     ids = np.unique(labels, return_inverse=True)[1].astype(np.int64)
-    return kept, ids[: dense.size], ids[dense.size :] - ids[dense.size]
+    marginal = ids[dense.size :] - ids[dense.size]
+    return UniformityCertificate(functional, tuple(kept), ids[: dense.size], marginal)
 
 
 UNIQUENESS_NOTE = (
@@ -700,15 +699,13 @@ def certify_uniform(
     acting on joint events and on single-party events; the certificate
     keeps the generators that join orbits.  The orbits do not depend on
     ``query``: when given, it is checked against the scenario and not
-    recorded.
+    recorded.  Every generator must share the functional's scenario.
     """
-    gens, joint, marg = _orbit_closure(functional, generators)
-    cert = UniformityCertificate(
-        functional=functional,
-        generators=tuple(gens),
-        joint_orbits=joint,
-        marginal_orbits=marg,
-    )
+    sc = functional.scenario
+    generators = _entries(generators, "generators")
+    if any(g.scenario is not sc and g.scenario != sc for g in generators):
+        raise ScenarioMismatchError("generator scenario does not match functional")
+    cert = _orbit_closure(functional, np.array([g._images for g in generators]))
     if query is not None:
         cert.certified_bits(query)  # validates the query eagerly
     return cert
@@ -752,13 +749,12 @@ def orbit_equality_violation(
 # --- JSON serialization ------------------------------------------------------
 
 def relabeling_to_dict(relabeling: Relabeling) -> dict:
-    return _relabeling_dicts(relabeling.scenario, [relabeling])[0]
+    return _relabeling_dicts(relabeling.scenario, relabeling._images[None])[0]
 
 
-def _relabeling_dicts(scenario: Scenario, relabelings: Sequence[Relabeling]) -> list[dict]:
-    """``relabeling_to_dict`` of every relabeling, decoded in batches of rows."""
+def _relabeling_dicts(scenario: Scenario, rows: np.ndarray) -> list[dict]:
+    """``relabeling_to_dict`` of each row of images' relabeling, decoded in batches of rows."""
     step = max(1, _GATHER_ELEMENTS // _marginal_offsets(scenario)[-1])
-    batches = (relabelings[lo : lo + step] for lo in range(0, len(relabelings), step))
     identity = list(range(scenario.parties))
     return [
         {
@@ -767,15 +763,15 @@ def _relabeling_dicts(scenario: Scenario, relabelings: Sequence[Relabeling]) -> 
                 {"input_perm": sigma, "output_perms": tau} for sigma, tau in zip(sigmas, taus)
             ],
         }
-        for batch in batches
-        for slots, sigmas, taus in _decoded(scenario, np.array([g._images for g in batch]))
+        for lo in range(0, len(rows), step)
+        for slots, sigmas, taus in _decoded(scenario, rows[lo : lo + step])
     ]
 
 
 def relabeling_from_dict(scenario: Scenario, data: Mapping) -> Relabeling:
     with _reading("relabeling"):
         inputs, outputs = ([p[k] for p in data["parties"]] for k in ("input_perm", "output_perms"))
-        return Relabeling(scenario, inputs, outputs, data.get("party_perm") or None)
+        return Relabeling(scenario, inputs, outputs, data.get("party_perm"))
 
 
 def certificate_to_dict(cert: UniformityCertificate) -> dict:
@@ -788,7 +784,7 @@ def certificate_to_dict(cert: UniformityCertificate) -> dict:
     joint, local = _queries(cert.functional.scenario)
     return {
         "functional": cert.functional.name,
-        "generators": _relabeling_dicts(cert.functional.scenario, cert.generators),
+        "generators": [relabeling_to_dict(g) for g in cert.generators],
         "joint": block(joint),
         "local": block(local),
         "assumes_unique_maximizer": cert.assumes_unique_maximizer,

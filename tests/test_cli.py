@@ -123,13 +123,44 @@ class TestSymmetries:
         "mermin --n 4 --party-perms": (
             "3c5ef7d8d691421d3a2230beced6ee8ddef408ce6b39713af588da43d03c8c0c"
         ),
+        # 61439 symmetries, 20.6 MB: the costliest listing, decoded from the search's rows
+        "mermin --n 5 --party-perms": (
+            "27c7738cf422457bb82f717d41fb028d79cf513fb002a4e425f59a6bdb11df9f"
+        ),
     }
 
     @pytest.mark.parametrize("options", sorted(PINNED))
-    def test_listing_is_pinned(self, capsys, options):
+    def test_listing_is_pinned(self, capsys, monkeypatch, options):
+        """The listing is decoded from the search's rows: it wraps none in a ``Relabeling``."""
+        wraps = count_wraps(monkeypatch)
         code, out, err = run_cli(capsys, "symmetries", "--functional", *options.split())
         assert code == 0 and not err
         assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[options]
+        assert len(wraps) == 0
+
+    def test_certificate_of_the_costliest_listing_is_pinned(self, capsys, monkeypatch):
+        """The stdout of certifying the same 61439 rows, as printed when the
+        certificate was built from one ``Relabeling`` per hit; only the 13
+        generators it keeps are wrapped."""
+        wraps = count_wraps(monkeypatch)
+        argv = ("certify", "--functional", "mermin", "--n", "5", "--party-perms")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and not err
+        pinned = "e3caea18580121b6e1a8e7440004015359608206d05c541e0632f3b17dce7382"
+        assert hashlib.sha256(out.encode()).hexdigest() == pinned
+        assert len(wraps) == json.loads(out)["generator_count"] == 13
+
+
+def count_wraps(monkeypatch) -> list:
+    """The rows wrapped by ``Relabeling._from_images`` from now on, as a growing list."""
+    wrap, wraps = bellcert.symmetry.Relabeling._from_images, []
+
+    def counting(scenario, images):
+        wraps.append(images)
+        return wrap(scenario, images)
+
+    monkeypatch.setattr(bellcert.symmetry.Relabeling, "_from_images", staticmethod(counting))
+    return wraps
 
 
 class TestRandomness:

@@ -108,6 +108,36 @@ class TestRelabelingStructure:
         with pytest.raises(ValidationError, match="malformed relabeling"):
             relabeling_from_dict(Scenario((2, 2), 2), data)
 
+    @pytest.mark.parametrize(
+        "party_perm, message",
+        [
+            # not sequences: malformed entries of the document
+            (0, "^malformed relabeling: party permutation must be a sequence, got 0$"),
+            (False, "^malformed relabeling: party permutation must be a sequence, got False$"),
+            # empty sequences: no permutation of the two parties, like an empty input_perm
+            ([], r"^party permutation \(\) is not a permutation of 0\.\.1$"),
+            ("", r"^party permutation \(\) is not a permutation of 0\.\.1$"),
+            ({}, r"^party permutation \(\) is not a permutation of 0\.\.1$"),
+        ],
+        ids=["zero", "false", "empty-list", "empty-string", "empty-mapping"],
+    )
+    def test_a_falsy_party_perm_is_no_identity(self, party_perm, message):
+        """Only an absent ``party_perm`` or ``null`` is the identity."""
+        sc = Scenario((2, 2), 2)
+        data = {**relabeling_to_dict(identity_relabeling(sc)), "party_perm": party_perm}
+        with pytest.raises(ValidationError, match=message):
+            relabeling_from_dict(sc, data)
+
+    def test_an_absent_or_null_party_perm_is_the_identity(self):
+        sc = Scenario((2, 2), 2)
+        data = relabeling_to_dict(identity_relabeling(sc))
+        assert data["party_perm"] is None
+        absent = {k: v for k, v in data.items() if k != "party_perm"}
+        for given_data in (data, absent, {**data, "party_perm": [0, 1]}):
+            assert relabeling_from_dict(sc, given_data) == identity_relabeling(sc)
+        swapped = relabeling_from_dict(sc, {**data, "party_perm": [1, 0]})
+        assert swapped.party_perm == (1, 0) and not swapped.is_identity
+
 
 class TestGroupActions:
     def test_identity_action(self):

@@ -37,8 +37,12 @@ from bellcert.symmetry import (
     _join,
     _joint_perms,
     _marginal_offsets,
+    _orbit_closure,
     _products,
+    _relabeling_dicts,
+    _symmetry_rows,
     orbit_equality_violation,
+    relabeling_to_dict,
 )
 
 from conftest import fields, random_ns_behavior, random_relabeling
@@ -520,6 +524,29 @@ def loop_orbit_equality_violation(cert, behavior):
         for values, ids in ((joint, cert.joint_orbits), (marg_vals, cert.marginal_orbits))
         for oid in np.unique(ids)
     )
+
+
+@settings(max_examples=30, deadline=None)
+@given(party_symmetrized_functionals(), st.booleans())
+def test_row_path_equals_object_path(functional, include_party_perms):
+    """The search's rows are the stacked images of :func:`find_symmetries`'
+    hits; the certificate built from them and their listing equal those the
+    public functions build from the hits."""
+    sc = functional.scenario
+    found = find_symmetries(functional, include_party_perms=include_party_perms)
+    rows = _symmetry_rows(functional, include_party_perms)
+    assert rows.dtype == np.int64 and not rows.flags.writeable
+    assert rows.shape == (len(found), _marginal_offsets(sc)[-1])
+    assert np.array_equal(rows, np.array([g._images for g in found]).reshape(rows.shape))
+
+    from_rows, from_hits = _orbit_closure(functional, rows), certify_uniform(functional, found)
+    assert from_rows.generators == from_hits.generators
+    assert np.array_equal(from_rows.joint_orbits, from_hits.joint_orbits)
+    assert np.array_equal(from_rows.marginal_orbits, from_hits.marginal_orbits)
+    for g in from_rows.generators:  # its own int64 row, not a view of the hit matrix
+        assert g._images.dtype == np.int64 and g._images.base is None
+
+    assert _relabeling_dicts(sc, rows) == [relabeling_to_dict(g) for g in found]
 
 
 @settings(max_examples=30, deadline=None)
