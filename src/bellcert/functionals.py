@@ -31,6 +31,7 @@ from .scenario import (
     Behavior,
     Scenario,
     ValidationError,
+    _check_events,
     _choice,
     _correlator_key,
     _correlator_place,
@@ -215,26 +216,21 @@ def from_correlator_terms(
     """
     scenario._two_outcomes("a functional from correlator terms")
     n = scenario.parties
-    places, shares = [], []
+    # the flat index of each entry of the transformed table, axes (x..., b...)
+    positions = np.arange(scenario.num_inputs * 2**n).reshape(scenario.settings + (2,) * n)
+    events, nums, exps = [], [], []
     for key, weight in _items(terms, "correlator terms"):
         parties, assignment = _correlator_key(scenario, key)
         weight = _as_dyadic(weight)
-        if weight == 0:
-            continue
-        n_ext = math.prod(scenario.settings[i] for i in range(n) if i not in parties)
-        share = _as_dyadic(weight / n_ext)  # the weight spread over n_ext inputs
-        places.append(_correlator_place(n, parties, assignment))
-        shares.append(share)
-    log2_den = max(map(_log2_den, shares), default=0)
-    nums = [s.numerator << (log2_den - _log2_den(s)) for s in shares]
-    hat = np.zeros(
-        scenario.settings + (2,) * n, dtype=_exact_dtype(sum(map(abs, nums)))
-    )
-    for place, num in zip(places, nums):
-        hat[place] += num
-    return BellFunctional._from_table(
-        scenario, _walsh_hadamard(hat, n), log2_den, orientation=orientation, name=name
-    )
+        if weight:
+            spots = positions[_correlator_place(n, parties, assignment)].ravel().tolist()
+            share = _as_dyadic(weight / len(spots))  # the weight spread over its positions
+            events += spots
+            nums += [share.numerator] * len(spots)
+            exps += [_log2_den(share)] * len(spots)
+    hat, log2_den = _sum_terms(scenario, events, nums, exps)
+    hat = _walsh_hadamard(hat.reshape(positions.shape), n)
+    return BellFunctional._from_table(scenario, hat, log2_den, orientation=orientation, name=name)
 
 
 def correlator_terms(
@@ -296,7 +292,7 @@ def chained_modular(m: int, d: int) -> BellFunctional:
     Oriented to minimize; local strategies cannot go below d - 1.
     """
     m, d = _integer(m, "m", 2), _integer(d, "d", 2)
-    scenario = Scenario((m, m), d)
+    scenario = _check_events(Scenario((m, m), d))
     a = np.arange(d)[:, None]
     b = np.arange(d)[None, :]
     table = np.zeros((m, m, d, d), dtype=np.int64)  # (x_a, x_b, a, b)
@@ -318,6 +314,7 @@ def chained_correlator(m: int) -> BellFunctional:
     relabeling).
     """
     m = _integer(m, "m", 2)
+    _check_events(Scenario((m, m), 2))
     weights = np.eye(m, dtype=np.int64) + np.eye(m, k=-1, dtype=np.int64)
     weights[0, m - 1] = -1
     return _full_correlators(weights, 0, f"chained-correlator({m})")
@@ -331,6 +328,7 @@ def mermin(n: int) -> BellFunctional:
     two observables.
     """
     n = _integer(n, "n", 2)
+    _check_events(Scenario((2,) * n, 2))
     weights = np.array([[1, 1], [1, -1]])  # in units of 2**-(parties - 2)
     for _ in range(3, n + 1):
         twin = np.flip(weights)  # every party's two settings swapped

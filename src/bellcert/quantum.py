@@ -88,7 +88,7 @@ class QuantumModel:
     projector shapes; their product must match the state length.
     ``bloch[i][x]``, when present, records the Bloch vector a qubit
     measurement was built from.  State and projectors are read-only copies;
-    ``measurements[i][x]`` are views of one projector stack per party.
+    ``measurements[i][x]`` are views of one flat projector stack per party.
     """
 
     scenario: Scenario
@@ -110,7 +110,8 @@ class QuantumModel:
         meas = []
         for i, stack in enumerate(stacks):
             stack.setflags(write=False)  # first, so that every view is read-only
-            per_setting = stack.reshape(sc.settings[i], sc.outcomes, *stack.shape[2:])
+            dim = math.isqrt(stack.shape[-1])
+            per_setting = stack.reshape(sc.settings[i], sc.outcomes, dim, dim)
             _check_projective(per_setting, i)
             meas.append(tuple(per_setting))
         object.__setattr__(self, "_stacks", tuple(stacks))
@@ -130,7 +131,7 @@ class QuantumModel:
 
     @cached_property
     def local_dims(self) -> tuple[int, ...]:
-        return tuple(stack.shape[-1] for stack in self._stacks)
+        return tuple(math.isqrt(stack.shape[-1]) for stack in self._stacks)
 
 
 def _check_projective(stack: np.ndarray, party: int) -> None:
@@ -221,8 +222,8 @@ def _contract(t: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
 def _party_stacks(
     sc: Scenario, measurements: Sequence[Sequence[np.ndarray]]
 ) -> list[np.ndarray]:
-    """Each party's projectors as one (1, settings * outcomes, D, D) array: the one
-    structural check of a measurement list, raising ScenarioMismatchError."""
+    """Each party's projectors as one flat (1, settings * outcomes, D**2) array: the
+    one structural check of a measurement list, raising ScenarioMismatchError."""
     measurements = _entries(measurements, "measurements")
     if len(measurements) != sc.parties:
         raise ScenarioMismatchError("need one measurement list per party")
@@ -242,13 +243,8 @@ def _party_stacks(
                     f"measurement of party {i}, setting {x} has shape {block.shape}, "
                     f"not {sc.outcomes} square projectors of the party's dimension"
                 )
-        stacks.append(np.stack(blocks).reshape(1, -1, *shape[1:]))
+        stacks.append(np.stack(blocks).reshape(1, -1, shape[-1] ** 2))
     return stacks
-
-
-def _flat(stacks: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """(R, M_i * d, D_i, D_i) projector stacks as flat (R, M_i * d, D_i**2) ones."""
-    return [s.reshape(*s.shape[:2], -1) for s in stacks]
 
 
 def _bell_operators(coeffs: np.ndarray, stacks: Sequence[np.ndarray]) -> np.ndarray:
@@ -315,7 +311,7 @@ def behavior_from_model(model: QuantumModel) -> Behavior:
     """Born-rule behavior of a model."""
     sc = model.scenario
     rho = _density(model.state.reshape(1, -1), model.local_dims)
-    probs = _traced(rho, _flat(model._stacks)).real
+    probs = _traced(rho, model._stacks).real
     return Behavior(sc, _unpaired(sc, probs))
 
 
@@ -325,7 +321,7 @@ def bell_operator(
     """Hermitian operator sum c(a,x) prod_i Pi^{a_i}_{x_i} for fixed measurements."""
     sc = functional.scenario
     stacks = _party_stacks(sc, measurements)
-    return _bell_operators(_paired(sc, functional.float_table), _flat(stacks))[0]
+    return _bell_operators(_paired(sc, functional.float_table), stacks)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -461,15 +457,13 @@ def _seesaw(
     return final, iterations, converged, traces
 
 
-def _optimum_model(functional: BellFunctional, bloch: Sequence[np.ndarray]) -> QuantumModel:
-    """One restart's model from its party (M_i, 3) Bloch vectors: the state is
-    the extremal eigenvector of their Bell operator."""
+def _finish(functional: BellFunctional, finals: Sequence[np.ndarray], restarts) -> tuple:
+    """Flat stacks, Bell operator eigenvalues and extremal eigenvectors (states) of
+    the given restarts, in one batch from the final party (R, M_i, 3) Bloch vectors."""
     sc = functional.scenario
-    stacks = [_qubit_stacks(b[None]) for b in bloch]
-    _, vecs = np.linalg.eigh(_bell_operators(_paired(sc, functional.float_table), stacks))
-    pick = -1 if functional.orientation == "max" else 0
-    measurements = [s.reshape(-1, 2, 2, 2) for s in stacks]
-    return QuantumModel(sc, vecs[0, :, pick], measurements, bloch=bloch)
+    stacks = [_qubit_stacks(b[restarts]) for b in finals]
+    vals, vecs = np.linalg.eigh(_bell_operators(_paired(sc, functional.float_table), stacks))
+    return stacks, vals, vecs[:, :, -1 if functional.orientation == "max" else 0]
 
 
 def optimize_violation(
@@ -500,7 +494,9 @@ def optimize_violation(
     starts = _seeded_starts(sc, seed, restarts)
     final, iterations, converged, traces = _seesaw(functional, starts, tol, max_iters)
     best = int(np.argmax([tr[-1] for tr in traces]))
-    model = _optimum_model(functional, [b[best] for b in final])
+    stacks, _, states = _finish(functional, final, [best])
+    measurements = [s.reshape(-1, 2, 2, 2) for s in stacks]
+    model = QuantumModel(sc, states[0], measurements, bloch=[b[best] for b in final])
     behavior = behavior_from_model(model)
     value = evaluate(functional, behavior)
     result = OptimizationResult(
@@ -521,28 +517,26 @@ def _uniqueness_evidence(functional: BellFunctional, result: OptimizationResult)
     """Evidence for a unique maximizer, read off the restarts of one see-saw run.
 
     The restarts whose final orientation-signed value is within 1e-9 of the
-    best are rebuilt in one batch, each as :func:`_optimum_model` and
-    :func:`behavior_from_model` build one, bit for bit.  Reports their
-    count, the largest spread of one Born-rule probability among them, and
-    the gap between the two extremal eigenvalues of the best restart's Bell
-    operator (zero when the optimal state is degenerate).  Evidence, not a
-    proof: every restart may miss another maximizer.  A restart stops when
-    its value gains less than ``tol``, and near the optimum the value moves
-    with the square of the distance to it, so the near-best behaviors are
-    settled only to about sqrt(tol): read the table distance against
-    sqrt(tol), not against a fixed threshold such as 1e-9 (chained-global
-    at the default tol 1e-10 gives 1.6-1.8e-6 at seeds 0-2).
+    best are rebuilt by :func:`_finish`, as :func:`optimize_violation` rebuilds
+    the best one, and traced as in :func:`behavior_from_model`, bit for bit.
+    Reports their count, the largest spread of one Born-rule probability
+    among them, and the gap between the two extremal eigenvalues of the best
+    restart's Bell operator (zero when the optimal state is degenerate).
+    Evidence, not a proof: every restart may miss another maximizer.  A
+    restart stops when its value gains less than ``tol``, and near the
+    optimum the value moves with the square of the distance to it, so the
+    near-best behaviors are settled only to about sqrt(tol): read the table
+    distance against sqrt(tol), not against a fixed threshold such as 1e-9
+    (chained-global at the default tol 1e-10 gives 1.6-1.8e-6 at seeds 0-2).
     """
     sc = functional.scenario
     values = np.array([tr[-1] for tr in result.traces])
     near = np.flatnonzero(values[result.restart] - values <= 1e-9)
-    stacks = [_qubit_stacks(b[near]) for b in result._finals]
-    vals, vecs = np.linalg.eigh(_bell_operators(_paired(sc, functional.float_table), stacks))
-    pick = -1 if functional.orientation == "max" else 0
-    rho = _density(vecs[:, :, pick], (2,) * sc.parties)
+    stacks, vals, states = _finish(functional, result._finals, near)
+    rho = _density(states, (2,) * sc.parties)
     tables = np.clip(_traced(rho, stacks).real, 0.0, 1.0)  # as Behavior clamps them
     best = vals[np.searchsorted(near, result.restart)]
-    extremal = best[-2:] if pick else best[:2]
+    extremal = best[-2:] if functional.orientation == "max" else best[:2]
     return {
         "restarts": len(values),
         "restarts_at_best": int(near.size),

@@ -40,7 +40,7 @@ NO_SIGNALING_TOL = 1e-7
 # upper bound on the elements of one batched array: the local_bound contraction,
 # the generator pass of certification and the JSON listing work in chunks of this size
 _GATHER_ELEMENTS = 1 << 16
-# the most joint events (inputs × outcomes) the scenario of a JSON document may have
+# the most joint events (inputs × outcomes) of a JSON document's or named functional's scenario
 _DOCUMENT_EVENTS = 1 << 24
 
 
@@ -636,20 +636,25 @@ def _reading(what: str):
         raise ValidationError(f"malformed {what}: {detail}") from exc
 
 
-def _document_scenario(data: Mapping) -> Scenario:
-    """A document's scenario: its ``settings`` and ``outcomes``, an optional
-    ``parties`` entry checked against the settings list, and at most
-    ``_DOCUMENT_EVENTS`` joint events, refused before anything is allocated."""
-    scenario = Scenario(tuple(data["settings"]), data["outcomes"])
-    parties = data.get("parties")
-    if parties is not None and _integer(parties, "parties") != scenario.parties:
-        raise ValidationError("party count does not match the settings list")
+def _check_events(scenario: Scenario) -> Scenario:
+    """``scenario``, refused above ``_DOCUMENT_EVENTS`` joint events before any allocation."""
     events = scenario.num_inputs * scenario.num_outcomes
     if events > _DOCUMENT_EVENTS:
         raise ValidationError(
             f"scenario has {events} joint events, above the {_DOCUMENT_EVENTS} a document may have"
         )
     return scenario
+
+
+def _document_scenario(data: Mapping) -> Scenario:
+    """A document's scenario: its ``settings`` and ``outcomes``, an optional
+    ``parties`` entry checked against the settings list, and at most
+    ``_DOCUMENT_EVENTS`` joint events (:func:`_check_events`)."""
+    scenario = Scenario(tuple(data["settings"]), data["outcomes"])
+    parties = data.get("parties")
+    if parties is not None and _integer(parties, "parties") != scenario.parties:
+        raise ValidationError("party count does not match the settings list")
+    return _check_events(scenario)
 
 
 def _document_header(scenario: Scenario) -> dict:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
@@ -63,6 +63,7 @@ def _check_perm(perm: Sequence[int], size: int, what: str) -> tuple[int, ...]:
     return perm
 
 
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Relabeling:
     """A relabeling of settings and outcomes, optionally of parties.
 
@@ -75,7 +76,8 @@ class Relabeling:
     the single-party events; the three blocks are read back from them.
     """
 
-    __slots__ = ("scenario", "_images", "__dict__")  # the dict caches derived views
+    scenario: Scenario
+    _images: np.ndarray
 
     def __init__(self, scenario: Scenario, input_perms, output_perms, party_perm=None) -> None:
         sc, d = scenario, scenario.outcomes
@@ -106,18 +108,11 @@ class Relabeling:
 
     def _keep(self, scenario: Scenario, images: np.ndarray) -> "Relabeling":
         images.setflags(write=False)
-        object.__setattr__(self, "scenario", scenario)
-        object.__setattr__(self, "_images", images)
+        self.__dict__.update(scenario=scenario, _images=images)
         return self
 
-    def __reduce__(self):
+    def __reduce__(self):  # through _keep, since an unpickled array comes back writable
         return self._from_images, (self.scenario, self._images)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:

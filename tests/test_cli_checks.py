@@ -1,17 +1,35 @@
-"""End-to-end checks of the ``symmetries`` and ``certify`` commands, run
-in-process through ``bellcert.cli.main``: the read-back of a whole listing
-and the certificates of the Mermin family and of CHSH.
+"""End-to-end checks of the command line and of a fresh process: the
+read-back of a whole listing, the certificates of the Mermin family and of
+CHSH and a model's read-back, run in-process through ``bellcert.cli.main``;
+the see-saw's peak memory and the refusal of oversized named functionals,
+each in a fresh interpreter.
 
 The count of ``symmetries --functional mermin --n 5`` (511) is implied by
 that listing's sha256 pin in ``test_cli.py``.
 """
 
 import json
+import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
-from bellcert import is_symmetry, mermin, relabeling_from_dict
+import bellcert
+from bellcert import (
+    Scenario,
+    ValidationError,
+    behavior_from_dict,
+    behavior_from_model,
+    is_symmetry,
+    mermin,
+    model_from_dict,
+    relabeling_from_dict,
+)
 from bellcert.cli import main
+from bellcert.scenario import _check_events
 
 
 def run(capsys, *argv) -> dict:
@@ -58,3 +76,110 @@ def test_chsh_certified_report(capsys):
         True,
     )
     assert "unique" in report["assumption"]
+
+
+def test_chsh_model_reads_back_to_its_behavior(capsys):
+    document = run(capsys, "maximize", "--functional", "chsh", "--emit-model", "--emit-behavior")
+    model = model_from_dict(document["model"])
+    behavior = behavior_from_dict(document["behavior"])
+    assert np.abs(behavior_from_model(model).table - behavior.table).max() <= 1e-12
+
+
+def fresh_python(code: str, *args: str, **env: str) -> str:
+    """Stdout of ``code`` run with ``args`` in a fresh interpreter that imports
+    this bellcert, with ``env`` added to the environment."""
+    paths = (os.path.dirname(os.path.dirname(bellcert.__file__)), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, check=False
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+PEAK_GROWTH = """
+import json, resource
+from bellcert import mermin, optimize_violation
+f = mermin(8)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+value = optimize_violation(f).value
+grown = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024
+print(json.dumps({"value": value, "grown_mib": grown}))
+"""
+
+
+def test_mermin8_see_saw_adds_little_to_the_peak_rss():
+    """The see-saw runs its batch in slices, so mermin(8) adds little to the
+    peak RSS of a fresh process (+17 MiB; +91 MiB as one batch)."""
+    got = json.loads(fresh_python(PEAK_GROWTH))
+    assert abs(got["value"] - 16 * math.sqrt(2)) <= 1e-6
+    assert got["grown_mib"] < 40
+
+
+OVERSIZED = {
+    "mermin(30)": ("mermin", [30], ["--functional", "mermin", "--n", "30"]),
+    "chained_correlator(10**4)": (
+        "chained_correlator", [10**4], ["--functional", "chained-correlator", "--m", "10000"]
+    ),
+    "chained_modular(10**3, 10)": (
+        "chained_modular",
+        [10**3, 10],
+        ["--functional", "chained-modular", "--m", "1000", "--d", "10"],
+    ),
+}
+
+# Under a 1.5 GiB address-space limit, so that a constructor that allocated
+# before its size check fails with MemoryError instead of taking gigabytes;
+# with one BLAS thread, since each thread's buffers count against the limit.
+REFUSALS = """
+import contextlib, io, json, resource, sys, tracemalloc
+soft = 3 << 29
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (soft if hard < 0 else min(soft, hard), hard))
+import bellcert
+from bellcert.cli import main
+out = {}
+for label, (name, args, argv) in json.loads(sys.argv[1]).items():
+    tracemalloc.start()
+    try:
+        getattr(bellcert, name)(*args)
+        error = None
+    except Exception as exc:
+        error = type(exc).__name__
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    stdout, stderr = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["local-bound", *argv])
+    except Exception as exc:
+        code = type(exc).__name__
+    err = stderr.getvalue().splitlines()
+    out[label] = {"error": error, "peak": peak, "code": code, "out": stdout.getvalue(), "err": err}
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def refusals():
+    return json.loads(fresh_python(REFUSALS, json.dumps(OVERSIZED), OPENBLAS_NUM_THREADS="1"))
+
+
+@pytest.mark.parametrize("label", OVERSIZED)
+def test_oversized_named_functional_is_refused_before_it_is_allocated(refusals, label):
+    got = refusals[label]
+    assert got["error"] == "ValidationError"
+    assert got["peak"] < 64 * 2**10
+    assert got["code"] == 1 and not got["out"] and len(got["err"]) == 1
+    error = json.loads(got["err"][0])
+    assert error["code"] == "invalid-input"
+    assert error["message"].endswith("joint events, above the 16777216 a document may have")
+
+
+def test_the_size_check_accepts_exactly_the_largest_documents():
+    """mermin(12)'s scenario has 2^24 joint events, the most a document may
+    have, and mermin(13)'s four times as many."""
+    largest = Scenario((2,) * 12, 2)
+    assert _check_events(largest) is largest
+    with pytest.raises(ValidationError, match="^scenario has 67108864 joint events"):
+        _check_events(Scenario((2,) * 13, 2))

@@ -134,6 +134,7 @@ class TestMalformedFunctionals:
             _first_term("x", 0),
             lambda doc: [doc],
             lambda doc: {**doc, "settings": [10**6, 10**6], "terms": []},
+            lambda doc: {"settings": 5, "outcomes": 2, "terms": []},
         ],
         ids=[
             "missing-terms",
@@ -144,6 +145,7 @@ class TestMalformedFunctionals:
             "scalar-x",
             "top-level-list",
             "huge-scenario",
+            "scalar-settings",
         ],
     )
     def test_malformed_file(self, capsys, tmp_path, edit):

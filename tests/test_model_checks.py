@@ -120,7 +120,7 @@ class TestReadOnlyStacks:
             with pytest.raises(ValueError):
                 arr.flat[0] = 0.5
         for stack, per_setting in zip(model._stacks, model.measurements):
-            assert stack.shape == (1, 4, 2, 2)
+            assert stack.shape == (1, 4, 4)
             assert all(np.shares_memory(block, stack) for block in per_setting)
 
     def test_caller_arrays_changed_afterwards_change_nothing(self):

@@ -1,5 +1,6 @@
-"""The uniqueness evidence read off one see-saw run's restarts, against a loop
-that rebuilds each near-best restart's model and behavior on its own."""
+"""The uniqueness evidence and the optimum of one see-saw run, against a loop
+that rebuilds each near-best restart's model and behavior on its own, from
+public functions only."""
 
 import numpy as np
 import pytest
@@ -16,46 +17,60 @@ from bellcert import (
     lifted_chsh_c,
     mermin,
     optimize_violation,
+    qubit_model,
+    qubit_projectors,
     tilted_chsh,
 )
-from bellcert.quantum import _optimum_model, _seeded_starts, _seesaw, _uniqueness_evidence
+from bellcert.quantum import _seeded_starts, _seesaw, _uniqueness_evidence
 from test_quantum_oracles import integer_functional, two_outcome_functionals
 
 
-def oracle_evidence(functional, seed, restarts, tol, max_iters):
+def rebuild(functional, bloch):
+    """One restart's Bell operator eigenvalues, model and behavior from its
+    party (M_i, 3) Bloch vectors: the state is the extremal eigenvector."""
+    measurements = [[qubit_projectors(v) for v in per_party] for per_party in bloch]
+    vals, vecs = np.linalg.eigh(bell_operator(functional, measurements))
+    state = vecs[:, -1 if functional.orientation == "max" else 0]
+    model = qubit_model(functional.scenario, state, bloch)
+    return vals, model, behavior_from_model(model)
+
+
+def oracle(functional, seed, restarts, tol, max_iters):
     """Count, largest table distance and extremal eigenvalue gap, one restart
-    at a time, from final Bloch vectors that a second see-saw run returns."""
+    at a time, from final Bloch vectors that a second see-saw run returns;
+    and the best restart's model and behavior."""
     sc = functional.scenario
     starts = _seeded_starts(sc, seed, restarts)
     final, _, _, traces = _seesaw(functional, starts, tol, max_iters)
     values = [tr[-1] for tr in traces]
     best = int(np.argmax(values))
     near = [r for r, v in enumerate(values) if values[best] - v <= 1e-9]
-    tables = np.array(
-        [behavior_from_model(_optimum_model(functional, [b[r] for b in final])).table for r in near]
-    )
+    rebuilt = {r: rebuild(functional, [b[r] for b in final]) for r in near}
+    tables = np.array([behavior.table for _, _, behavior in rebuilt.values()])
     distance = max(
         float(tables[:, x, a].max() - tables[:, x, a].min())
         for x in range(sc.num_inputs)
         for a in range(sc.num_outcomes)
     )
-    model = _optimum_model(functional, [b[best] for b in final])
-    vals, _ = np.linalg.eigh(bell_operator(functional, model.measurements))
+    vals, model, behavior = rebuilt[best]
     gap = vals[-1] - vals[-2] if functional.orientation == "max" else vals[1] - vals[0]
-    return {
+    evidence = {
         "restarts": restarts,
         "restarts_at_best": len(near),
         "max_table_distance_at_best": distance,
         "extremal_eigenvalue_gap": float(gap),
     }
+    return evidence, model, behavior
 
 
 def assert_matches_oracle(functional, seed, restarts=20, tol=1e-10, max_iters=500):
+    """Returns the run and the oracle's best model and behavior."""
     result = optimize_violation(
         functional, restarts=restarts, seed=seed, tol=tol, max_iters=max_iters
     )
-    want = oracle_evidence(functional, seed, restarts, tol, max_iters)
+    want, model, behavior = oracle(functional, seed, restarts, tol, max_iters)
     assert _uniqueness_evidence(functional, result) == want
+    return result, model, behavior
 
 
 @pytest.mark.parametrize("seed", [0, 3])
@@ -85,7 +100,9 @@ def test_evidence_equals_the_rebuild_on_random_functionals_in_both_orientations(
 ):
     for orientation in ("max", "min"):
         mirrored = BellFunctional(functional.scenario, functional.coefficients, orientation)
-        assert_matches_oracle(mirrored, seed, restarts=4, max_iters=30)
+        result, model, behavior = assert_matches_oracle(mirrored, seed, restarts=4, max_iters=30)
+        assert result.model.state.tobytes() == model.state.tobytes()
+        assert result.behavior.table.tobytes() == behavior.table.tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
