@@ -31,7 +31,6 @@ from .scenario import (
     Behavior,
     Scenario,
     ValidationError,
-    _check_events,
     _choice,
     _correlator_key,
     _correlator_place,
@@ -42,6 +41,8 @@ from .scenario import (
     _items,
     _paired,
     _reading,
+    _Repeated,
+    _size,
     _strategy_outcomes,
     _subset_sums,
     _walsh_hadamard,
@@ -262,19 +263,21 @@ def correlator_terms(
 
 # --- named constructors ------------------------------------------------------
 
-def _full_correlators(weights: np.ndarray, log2_den: int, name: str) -> BellFunctional:
-    """sum_x weights[x] / 2**log2_den <A^(x_0) B^(x_1) ...> on (N, weights.shape, 2)
-    from an integer array of full-correlator weights, one axis per party."""
-    n = weights.ndim
-    hat = np.zeros(weights.shape + (2,) * n, dtype=np.int64)
+def _full_correlators(
+    scenario: Scenario, weights: np.ndarray, log2_den: int, name: str
+) -> BellFunctional:
+    """sum_x weights[x] / 2**log2_den <A^(x_0) B^(x_1) ...> on a two-outcome
+    scenario from an integer array of full-correlator weights, one axis per
+    party, of shape ``scenario.settings``."""
+    n = scenario.parties
+    hat = np.zeros(scenario.settings + (2,) * n, dtype=np.int64)
     hat[(Ellipsis,) + (1,) * n] = weights
-    scenario = Scenario(weights.shape, 2)
     return BellFunctional._from_table(scenario, _walsh_hadamard(hat, n), log2_den, name=name)
 
 
 def chsh() -> BellFunctional:
     """The Clauser-Horne-Shimony-Holt functional on the (2,2,2) scenario."""
-    return _full_correlators(np.array([[1, 1], [1, -1]]), 0, "chsh")
+    return _full_correlators(Scenario((2, 2), 2), np.array([[1, 1], [1, -1]]), 0, "chsh")
 
 
 def tilted_chsh(eta: float) -> BellFunctional:
@@ -292,7 +295,7 @@ def chained_modular(m: int, d: int) -> BellFunctional:
     Oriented to minimize; local strategies cannot go below d - 1.
     """
     m, d = _integer(m, "m", 2), _integer(d, "d", 2)
-    scenario = _check_events(Scenario((m, m), d))
+    scenario = Scenario((m, m), d)
     a = np.arange(d)[:, None]
     b = np.arange(d)[None, :]
     table = np.zeros((m, m, d, d), dtype=np.int64)  # (x_a, x_b, a, b)
@@ -314,10 +317,10 @@ def chained_correlator(m: int) -> BellFunctional:
     relabeling).
     """
     m = _integer(m, "m", 2)
-    _check_events(Scenario((m, m), 2))
+    scenario = Scenario((m, m), 2)
     weights = np.eye(m, dtype=np.int64) + np.eye(m, k=-1, dtype=np.int64)
     weights[0, m - 1] = -1
-    return _full_correlators(weights, 0, f"chained-correlator({m})")
+    return _full_correlators(scenario, weights, 0, f"chained-correlator({m})")
 
 
 def mermin(n: int) -> BellFunctional:
@@ -328,7 +331,7 @@ def mermin(n: int) -> BellFunctional:
     two observables.
     """
     n = _integer(n, "n", 2)
-    _check_events(Scenario((2,) * n, 2))
+    scenario = Scenario(_Repeated(2, n), 2)  # sized before n settings exist
     weights = np.array([[1, 1], [1, -1]])  # in units of 2**-(parties - 2)
     for _ in range(3, n + 1):
         twin = np.flip(weights)  # every party's two settings swapped
@@ -339,7 +342,7 @@ def mermin(n: int) -> BellFunctional:
     # odd-primed labeling convention.
     if n % 2 == 1 and np.argwhere(weights)[0].sum() % 2 == 0:
         weights = np.flip(weights)
-    return _full_correlators(weights, n - 2, f"mermin({n})")
+    return _full_correlators(scenario, weights, n - 2, f"mermin({n})")
 
 
 def lifted_chsh_c() -> BellFunctional:
@@ -473,7 +476,7 @@ def local_bound(
     total = math.prod(d**m for m in settings)
     if total > cap:
         raise CapExceededError(
-            f"{total} deterministic strategies exceed the cap of {cap}"
+            f"{_size(total)} deterministic strategies exceed the cap of {_size(cap)}"
         )
     tensor = _paired(scenario, functional.table)
     sign = 1 if functional.orientation == "max" else -1

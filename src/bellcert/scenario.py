@@ -30,6 +30,7 @@ import operator
 import warnings
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
@@ -40,8 +41,10 @@ NO_SIGNALING_TOL = 1e-7
 # upper bound on the elements of one batched array: the local_bound contraction,
 # the generator pass of certification and the JSON listing work in chunks of this size
 _GATHER_ELEMENTS = 1 << 16
-# the most joint events (inputs × outcomes) of a JSON document's or named functional's scenario
+# the most joint events (inputs × outcomes) of any scenario, so that every table fits a document
 _DOCUMENT_EVENTS = 1 << 24
+# a refused size is named exactly below this, and as "about 2^k" from it on
+_EXACT_SIZES = 10**100
 
 
 class ValidationError(ValueError):
@@ -138,6 +141,15 @@ def _choice(value, what: str, options: tuple):
     raise ValidationError(f"{what} must be {options}, got {value!r}")
 
 
+def _size(count: int | None, log2: Fraction = Fraction(0)) -> str:
+    """A size as an error message names it: in decimal below 10^100, else as
+    "about 2^k", k named the same way; a count too large to compute is None,
+    named by its ``log2``."""
+    if count is not None and count < _EXACT_SIZES:
+        return str(count)
+    return f"about 2^{_size(math.floor(log2) if count is None else count.bit_length() - 1)}"
+
+
 def _mixed_radix(digits, what: str, radices: Sequence[int], strides: Sequence[int]) -> int:
     """The flat index of one ``what`` ("setting" or "outcome") per party."""
     digits = _entries(digits, f"{what}s", len(radices))
@@ -148,35 +160,62 @@ def _mixed_radix(digits, what: str, radices: Sequence[int], strides: Sequence[in
 
 
 @dataclass(frozen=True)
+class _Repeated:
+    """``times`` parties with ``count`` settings each, as a :class:`Scenario`'s
+    settings argument: the scenario is sized before the tuple is built."""
+
+    count: int
+    times: int
+
+
+@dataclass(frozen=True)
 class Scenario:
     """An (N, M, d) Bell scenario: per-party setting counts, uniform outcome count.
 
     ``settings[i]`` is the number of measurement settings of party ``i``;
     ``outcomes`` is the number of outcomes, identical for every party and
     setting.  Setting counts may differ between parties (a party with a
-    single setting is allowed).
+    single setting is allowed).  A scenario has at most ``_DOCUMENT_EVENTS``
+    (2^24) joint events, inputs × outcomes, so that every table over it can
+    be allocated and written to a document; a larger one is refused here,
+    before any table exists.
     """
 
     settings: tuple[int, ...]
     outcomes: int
 
     def __post_init__(self) -> None:
-        settings = _entries(self.settings, "settings")
-        settings = tuple(_integer(m, "setting count", 1) for m in settings)
-        object.__setattr__(self, "settings", settings)
-        object.__setattr__(self, "outcomes", _integer(self.outcomes, "outcomes", 2))
-        if len(self.settings) < 1:
+        # the settings as runs of (setting count, parties), none built yet
+        given = self.settings
+        if isinstance(given, _Repeated):
+            runs = [(given.count, given.times)]
+        else:
+            runs = [(m, 1) for m in _entries(given, "settings")]
+        runs = [(_integer(m, "setting count", 1), t) for m, t in runs]
+        d = _integer(self.outcomes, "outcomes", 2)
+        if not runs:
             raise ValidationError("scenario needs at least one party")
+        # the joint events, counted exactly where they have at most 400 bits
+        bits = sum(t * (m * d).bit_length() for m, t in runs)
+        events = math.prod((m * d) ** t for m, t in runs) if bits <= 400 else None
+        if events is None or events > _DOCUMENT_EVENTS:
+            log2 = sum(t * Fraction(math.log2(m * d)) for m, t in runs)  # no float overflow
+            raise ValidationError(
+                f"scenario has {_size(events, log2)} joint events, "
+                f"above the {_DOCUMENT_EVENTS} a document may have"
+            )
+        object.__setattr__(self, "settings", tuple(m for m, t in runs for _ in range(t)))
+        object.__setattr__(self, "outcomes", d)
 
     @property
     def parties(self) -> int:
         return len(self.settings)
 
-    @property
+    @cached_property
     def num_inputs(self) -> int:
         return math.prod(self.settings)
 
-    @property
+    @cached_property
     def num_outcomes(self) -> int:
         return self.outcomes**self.parties
 
@@ -394,7 +433,7 @@ class Behavior:
         if bad.any():
             x = int(np.argmax(bad))
             raise ValidationError(
-                f"probabilities at input {self.scenario.input_tuple(x)} sum to {sums[x]!r}"
+                f"probabilities at input {self.scenario.input_tuple(x)} sum to {float(sums[x])!r}"
             )
         np.clip(arr, 0.0, 1.0, out=arr)
         arr.setflags(write=False)
@@ -636,25 +675,14 @@ def _reading(what: str):
         raise ValidationError(f"malformed {what}: {detail}") from exc
 
 
-def _check_events(scenario: Scenario) -> Scenario:
-    """``scenario``, refused above ``_DOCUMENT_EVENTS`` joint events before any allocation."""
-    events = scenario.num_inputs * scenario.num_outcomes
-    if events > _DOCUMENT_EVENTS:
-        raise ValidationError(
-            f"scenario has {events} joint events, above the {_DOCUMENT_EVENTS} a document may have"
-        )
-    return scenario
-
-
 def _document_scenario(data: Mapping) -> Scenario:
-    """A document's scenario: its ``settings`` and ``outcomes``, an optional
-    ``parties`` entry checked against the settings list, and at most
-    ``_DOCUMENT_EVENTS`` joint events (:func:`_check_events`)."""
+    """A document's scenario: its ``settings`` and ``outcomes``, and an
+    optional ``parties`` entry checked against the settings list."""
     scenario = Scenario(tuple(data["settings"]), data["outcomes"])
     parties = data.get("parties")
     if parties is not None and _integer(parties, "parties") != scenario.parties:
         raise ValidationError("party count does not match the settings list")
-    return _check_events(scenario)
+    return scenario
 
 
 def _document_header(scenario: Scenario) -> dict:
@@ -686,8 +714,11 @@ def behavior_from_dict(data: Mapping) -> Behavior:
         for key, row in entries.items():
             if not key.startswith("x="):
                 raise ValidationError(f"bad table key {key!r}")
-            x = tuple(int(tok) for tok in key[2:].split(","))
+            x = scenario.input_index(tuple(int(tok) for tok in key[2:].split(",")))
+            # one spelling per input, the one behavior_to_dict writes
+            if key != _query_key(JointQuery(scenario.input_tuple(x))):
+                raise ValidationError(f"bad table key {key!r}")
             if len(row) != scenario.num_outcomes:
                 raise ValidationError(f"row {key!r} has {len(row)} entries")
-            table[scenario.input_index(x)] = row
+            table[x] = row
     return Behavior(scenario, table)

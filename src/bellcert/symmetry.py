@@ -48,6 +48,7 @@ from .scenario import (
     _queries,
     _query_key,
     _reading,
+    _size,
     _strategy_digits,
     _subset_rows,
     _warn_if_signaling,
@@ -431,7 +432,7 @@ def _symmetry_rows(
     total = search_space_size(scenario, include_party_perms)
     if total > cap:
         raise SearchCapExceededError(
-            f"{total} candidate relabelings exceed the cap of {cap}"
+            f"{_size(total)} candidate relabelings exceed the cap of {_size(cap)}"
         )
     d = scenario.outcomes
     images = [_party_images(m, d) for m in scenario.settings]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +16,10 @@ from bellcert import (
     deterministic_behavior,
     qubit_model,
 )
+
+# Python's smallest int-to-string limit: a message that writes an unbounded
+# count in decimal fails here instead of only on huge inputs
+sys.set_int_max_str_digits(640)
 
 
 def random_strategy(scenario: Scenario, rng: np.random.Generator):

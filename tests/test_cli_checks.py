@@ -29,7 +29,6 @@ from bellcert import (
     relabeling_from_dict,
 )
 from bellcert.cli import main
-from bellcert.scenario import _check_events
 
 
 def run(capsys, *argv) -> dict:
@@ -118,6 +117,9 @@ def test_mermin8_see_saw_adds_little_to_the_peak_rss():
 
 OVERSIZED = {
     "mermin(30)": ("mermin", [30], ["--functional", "mermin", "--n", "30"]),
+    # too many parties to build the settings tuple, and 4^n too large to write out
+    "mermin(10**10)": ("mermin", [10**10], ["--functional", "mermin", "--n", str(10**10)]),
+    "mermin(10**20)": ("mermin", [10**20], ["--functional", "mermin", "--n", str(10**20)]),
     "chained_correlator(10**4)": (
         "chained_correlator", [10**4], ["--functional", "chained-correlator", "--m", "10000"]
     ),
@@ -130,9 +132,11 @@ OVERSIZED = {
 
 # Under a 1.5 GiB address-space limit, so that a constructor that allocated
 # before its size check fails with MemoryError instead of taking gigabytes;
-# with one BLAS thread, since each thread's buffers count against the limit.
+# with one BLAS thread, since each thread's buffers count against the limit;
+# and at Python's smallest int-to-string limit, as in the rest of the suite.
 REFUSALS = """
 import contextlib, io, json, resource, sys, tracemalloc
+sys.set_int_max_str_digits(640)
 soft = 3 << 29
 hard = resource.getrlimit(resource.RLIMIT_AS)[1]
 resource.setrlimit(resource.RLIMIT_AS, (soft if hard < 0 else min(soft, hard), hard))
@@ -180,6 +184,6 @@ def test_the_size_check_accepts_exactly_the_largest_documents():
     """mermin(12)'s scenario has 2^24 joint events, the most a document may
     have, and mermin(13)'s four times as many."""
     largest = Scenario((2,) * 12, 2)
-    assert _check_events(largest) is largest
+    assert largest.num_inputs * largest.num_outcomes == 2**24
     with pytest.raises(ValidationError, match="^scenario has 67108864 joint events"):
-        _check_events(Scenario((2,) * 13, 2))
+        Scenario((2,) * 13, 2)

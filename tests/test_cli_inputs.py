@@ -152,6 +152,28 @@ class TestMalformedFunctionals:
         path = _chsh_file(tmp_path, edit)
         assert_error(run_cli(capsys, "local-bound", "--file", path), 1, "invalid-input")
 
+    @pytest.mark.parametrize(
+        "command, settings, message",
+        [
+            ("local-bound", [2, 15000], "about 2^15002 deterministic strategies exceed the cap"),
+            ("symmetries", [2200], "about 2^23460 candidate relabelings exceed the cap"),
+            ("certify", [2200], "about 2^23460 candidate relabelings exceed the cap"),
+        ],
+    )
+    def test_a_huge_cap_count_is_one_cap_exceeded_line(
+        self, capsys, tmp_path, command, settings, message
+    ):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"settings": settings, "outcomes": 2, "terms": []}))
+        result = run_cli(capsys, command, "--file", str(path))
+        assert_error(result, 1, "cap-exceeded")
+        assert json.loads(result[2])["message"].startswith(message)
+
+    def test_a_huge_named_functional_is_one_invalid_input_line(self, capsys):
+        result = run_cli(capsys, "local-bound", "--functional", "mermin", "--n", "7200")
+        assert_error(result, 1, "invalid-input")
+        assert json.loads(result[2])["message"].startswith("scenario has about 2^14400 joint")
+
     def test_well_formed_file_still_loads(self, capsys, tmp_path):
         path = _chsh_file(tmp_path, lambda doc: doc)
         code, out, _ = run_cli(capsys, "local-bound", "--file", path)

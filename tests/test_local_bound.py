@@ -147,6 +147,14 @@ class TestArguments:
             tracemalloc.stop()
         assert peak < 64 * 2**10
 
+    def test_a_huge_strategy_count_is_named_by_its_power_of_two(self):
+        functional = BellFunctional(Scenario((2, 400), 2), {(0, 0): 1})
+        with pytest.raises(
+            CapExceededError,
+            match=r"^about 2\^402 deterministic strategies exceed the cap of 10000000$",
+        ):
+            local_bound(functional)
+
     def test_cap_counts_the_last_party_too(self):
         # the last party is never enumerated, but the cap is on every party
         with pytest.raises(CapExceededError, match="16 deterministic strategies"):

@@ -6,6 +6,7 @@ domain errors of the dict readers."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from bellcert import (
     phase_measurement_model,
     qubit_model,
     qubit_projectors,
+    uniform_behavior,
 )
 from bellcert.quantum import QuantumModel
 
@@ -385,4 +387,23 @@ class TestDictReaders:
         data = behavior_dict()
         data["table"] = {"y=0": data["table"]["x=0"]}
         with pytest.raises(ValidationError, match="^bad table key 'y=0'$"):
+            behavior_from_dict(data)
+
+    @pytest.mark.parametrize("key", ["x=00", "x=+0", "x= 0", "x=0 "])
+    def test_a_table_key_has_one_spelling(self, key):
+        data = behavior_dict()
+        data["table"] = {key: data["table"]["x=0"]}
+        with pytest.raises(ValidationError, match=f"^bad table key {re.escape(repr(key))}$"):
+            behavior_from_dict(data)
+
+    def test_an_input_spelled_twice_names_the_key(self):
+        data = json.loads(json.dumps(behavior_to_dict(uniform_behavior(Scenario((2, 2), 2)))))
+        data["table"]["x=1, 01"] = data["table"].pop("x=1,0")
+        with pytest.raises(ValidationError, match="^bad table key 'x=1, 01'$"):
+            behavior_from_dict(data)
+
+    def test_a_row_sum_is_named_as_a_float(self):
+        data = behavior_dict()
+        data["table"]["x=0"] = [0.0] * len(data["table"]["x=0"])
+        with pytest.raises(ValidationError, match=r"^probabilities at input \(0,\) sum to 0\.0$"):
             behavior_from_dict(data)

@@ -38,6 +38,15 @@ class TestScenario:
         with pytest.raises(ValidationError):
             Scenario((2, 2), 1)
 
+    def test_size_bound_holds_for_every_scenario(self):
+        # refused when built, so no table constructor ever sees it
+        with pytest.raises(ValidationError, match=f"^scenario has {2**80} joint events, above"):
+            Scenario((2,) * 40, 2)
+        with pytest.raises(ValidationError, match=r"^scenario has about 2\^2000 joint events"):
+            Scenario([2] * 1000, 2)
+        with pytest.raises(ValidationError, match="^scenario has 100000000 joint events"):
+            phase_measurement_model(100, 100, [0.0] * 100, [0.0] * 100)
+
     def test_single_setting_party_supported(self):
         sc = Scenario((2, 2, 1), 2)
         assert sc.parties == 3
