@@ -97,7 +97,11 @@ _OPTIMIZER_OPTIONS = {"seed": int, "restarts": int, "tol": float, "max_iters": i
 def _build_functional(args: argparse.Namespace) -> BellFunctional:
     if args.file is not None:
         with open(args.file, encoding="utf-8") as fh:
-            return functional_from_dict(json.load(fh))
+            try:
+                document = json.load(fh)
+            except ValueError as exc:  # bad JSON or UTF-8, or an integer past Python's digit limit
+                raise OSError(str(exc)) from None
+        return functional_from_dict(document)
     return _FUNCTIONALS[args.functional](args)
 
 
@@ -590,7 +594,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValidationError, ScenarioMismatchError) as exc:
         _emit_error("invalid-input", str(exc))
         return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         _emit_error("io", str(exc))
         return 1
     return 0

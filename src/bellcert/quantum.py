@@ -52,6 +52,10 @@ from .scenario import (
 STATE_NORM_TOL = 1e-12
 PROJECTOR_TOL = 1e-10
 MAX_QUBIT_DIMENSION = 2**8
+# the most see-saw restarts, each of which draws from its own generator: one
+# gather's elements, under a name of its own so that shrinking the slices' bound
+# leaves it alone
+_MAX_RESTARTS = _GATHER_ELEMENTS
 
 PAULIS = np.array(
     [
@@ -479,16 +483,17 @@ def optimize_violation(
     improves by less than ``tol`` or ``max_iters`` is reached: the state
     moves to the extremal eigenvector of the Bell operator (ties broken
     deterministically by eigendecomposition order) and each Bloch vector
-    moves to its normalized gradient.  ``restarts`` seeded initial models
-    run as one batch; the best value wins, ties going to the lowest restart
-    index.  Results are reproducible given ``seed``.
+    moves to its normalized gradient.  ``restarts`` seeded initial models,
+    at most 65536, run as one batch; the best value wins, ties going to the
+    lowest restart index.  Results are reproducible given ``seed``.
     """
     sc = functional.scenario
     sc._two_outcomes("the qubit see-saw optimizer")
     dim = 2**sc.parties
     if dim > MAX_QUBIT_DIMENSION:
         raise ValidationError(f"total dimension {dim} exceeds {MAX_QUBIT_DIMENSION}")
-    restarts, max_iters = _integer(restarts, "restarts", 1), _integer(max_iters, "max_iters", 1)
+    restarts = _integer(restarts, "restarts", 1, _MAX_RESTARTS + 1)
+    max_iters = _integer(max_iters, "max_iters", 1)
     seed, tol = _integer(seed, "seed", 0), _real(tol, "tol", positive=True)
 
     starts = _seeded_starts(sc, seed, restarts)

@@ -43,7 +43,7 @@ NO_SIGNALING_TOL = 1e-7
 _GATHER_ELEMENTS = 1 << 16
 # the most joint events (inputs × outcomes) of any scenario, so that every table fits a document
 _DOCUMENT_EVENTS = 1 << 24
-# a refused size is named exactly below this, and as "about 2^k" from it on
+# a refused size or integer is named exactly below this magnitude, and as "about 2^k" from it on
 _EXACT_SIZES = 10**100
 
 
@@ -75,8 +75,9 @@ def _integer(value, what: str, low: int | None = None, high: int | None = None) 
     if integral and (low is None or value >= low) and (high is None or value < high):
         return value
     span = "" if low is None else f" >= {low}" if high is None else f" in {low}..{high - 1}"
-    error = ValidationError if integral else _Malformed
-    raise error(f"{what} must be an integer{span}, got {value!r}")
+    if not integral:
+        raise _Malformed(f"{what} must be an integer{span}, got {value!r}")
+    raise ValidationError(f"{what} must be an integer{span}, got {_size(value)}")
 
 
 def _entries(value, what: str, length: int | None = None) -> tuple:
@@ -142,12 +143,13 @@ def _choice(value, what: str, options: tuple):
 
 
 def _size(count: int | None, log2: Fraction = Fraction(0)) -> str:
-    """A size as an error message names it: in decimal below 10^100, else as
-    "about 2^k", k named the same way; a count too large to compute is None,
-    named by its ``log2``."""
-    if count is not None and count < _EXACT_SIZES:
+    """An integer as an error message names it: in decimal below 10^100 in
+    magnitude, else as "about 2^k" or "about -2^k", k named the same way; a
+    count too large to compute is None, named by its ``log2``."""
+    if count is not None and abs(count) < _EXACT_SIZES:
         return str(count)
-    return f"about 2^{_size(math.floor(log2) if count is None else count.bit_length() - 1)}"
+    sign = "-" if count is not None and count < 0 else ""
+    return f"about {sign}2^{_size(math.floor(log2) if count is None else count.bit_length() - 1)}"
 
 
 def _mixed_radix(digits, what: str, radices: Sequence[int], strides: Sequence[int]) -> int:

@@ -500,33 +500,25 @@ def _join(labels: np.ndarray, perm: np.ndarray) -> np.ndarray:
             labels = deeper
 
 
-def _products(scenario: Scenario, rows: np.ndarray) -> np.ndarray:
+def _products(rows: np.ndarray) -> np.ndarray:
     """Which rows of single-party event images are a∘k, for rows a and k
     listed before them.
 
-    For row g, a is the first row with g's key: its images of the search's
-    head events and the slot of each tail party.  Then k = a⁻¹∘g fixes the
-    head events and the party order, so in the search's order it is listed
-    among the first hits.  The key only picks a: g is marked only where k,
-    looked up by its bytes, is a row listed before g.  Keys, rows and k
-    share the rows' dtype; k is built in chunks of ``_GATHER_ELEMENTS``.
+    For row g, a is the row just before it, and g is marked iff k = a⁻¹∘g,
+    looked up by its bytes, is a row listed before g.  Consecutive hits of
+    the search mostly share their head blocks and party order, so k is
+    listed among its first hits.  Rows and k share the rows' dtype; k is
+    built in chunks of ``_GATHER_ELEMENTS``.
     """
     count, width = rows.shape
     marked = np.zeros(count, dtype=bool)
-    offsets = _marginal_offsets(scenario)
-    head = _head_parties(scenario)
-    slots = np.repeat(np.arange(scenario.parties, dtype=rows.dtype), np.diff(offsets))
-    keys = _rows(np.hstack((rows[:, : offsets[head]], slots[rows[:, offsets[head:-1]]])))
-    order = np.argsort(keys, kind="stable")  # rows with equal keys stay in order
-    first = order[np.searchsorted(keys, keys, sorter=order)]
-    later = np.flatnonzero(first != np.arange(count))  # the rows whose a comes before them
-    keys = _rows(rows)  # each row is its own key; reusing the names frees the head keys
-    order = np.argsort(keys, kind="stable")
+    keys = _rows(rows)
+    order = np.argsort(keys, kind="stable")  # equal rows stay in order
     step = max(1, _GATHER_ELEMENTS // width)
-    for lo in range(0, later.size, step):
-        g = later[lo : lo + step]
+    for lo in range(1, count, step):
+        g = np.arange(lo, min(lo + step, count))
         inverse = np.empty((g.size, width), dtype=rows.dtype)
-        np.put_along_axis(inverse, rows[first[g]], np.arange(width), axis=1)
+        np.put_along_axis(inverse, rows[g - 1], np.arange(width), axis=1)
         k = _rows(np.take_along_axis(inverse, rows[g], axis=1))
         # the first row equal to k, if any row is
         j = order[np.minimum(np.searchsorted(keys, k, sorter=order), count - 1)]
@@ -566,7 +558,7 @@ def _orbit_closure(functional: BellFunctional, rows: np.ndarray) -> "UniformityC
     rows = np.asarray(rows, np.min_scalar_type(labels.size - dense.size))
     todo = np.arange(len(rows))
     if len(rows) * labels.size > _GATHER_ELEMENTS // 8:  # below, the lookup costs more
-        todo = todo[~_products(sc, rows)]
+        todo = todo[~_products(rows)]
     kept: list[Relabeling] = []
     for lo in range(0, todo.size, step):
         chunk = todo[lo : lo + step]

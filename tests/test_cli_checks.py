@@ -1,8 +1,8 @@
 """End-to-end checks of the command line and of a fresh process: the
 read-back of a whole listing, the certificates of the Mermin family and of
 CHSH and a model's read-back, run in-process through ``bellcert.cli.main``;
-the see-saw's peak memory and the refusal of oversized named functionals,
-each in a fresh interpreter.
+the see-saw's peak memory and the refusal of oversized named functionals
+and restart counts, each in a fresh interpreter.
 
 The count of ``symmetries --functional mermin --n 5`` (511) is implied by
 that listing's sha256 pin in ``test_cli.py``.
@@ -51,8 +51,8 @@ def test_listing_with_party_perms_reads_back_as_distinct_symmetries(capsys):
     [
         (("--n", "4", "--party-perms"), 10, {3.0}),
         (("--n", "5", "--party-perms"), 13, {4.0, 5.0}),
-        # 8191 symmetries, 3 per gather: the pass gathers only the 159 that are
-        # no products of earlier ones
+        # 8191 symmetries, 3 per gather: the pass gathers only the 13 that are
+        # no products of their predecessor and an earlier one
         (("--n", "7"), 13, {6.0, 7.0}),
         # 31 generators × 76 events, below an eighth of one gather: certification
         # verifies every generator without the pass
@@ -115,18 +115,24 @@ def test_mermin8_see_saw_adds_little_to_the_peak_rss():
     assert got["grown_mib"] < 40
 
 
+EVENTS = "joint events, above the 16777216 a document may have"
+# each library call, run in bellcert's namespace, and the same request on the
+# command line, with the end of the refusal both give
 OVERSIZED = {
-    "mermin(30)": ("mermin", [30], ["--functional", "mermin", "--n", "30"]),
+    "mermin(30)": (["local-bound", "--functional", "mermin", "--n", "30"], EVENTS),
     # too many parties to build the settings tuple, and 4^n too large to write out
-    "mermin(10**10)": ("mermin", [10**10], ["--functional", "mermin", "--n", str(10**10)]),
-    "mermin(10**20)": ("mermin", [10**20], ["--functional", "mermin", "--n", str(10**20)]),
+    "mermin(10**10)": (["local-bound", "--functional", "mermin", "--n", str(10**10)], EVENTS),
+    "mermin(10**20)": (["local-bound", "--functional", "mermin", "--n", str(10**20)], EVENTS),
     "chained_correlator(10**4)": (
-        "chained_correlator", [10**4], ["--functional", "chained-correlator", "--m", "10000"]
+        ["local-bound", "--functional", "chained-correlator", "--m", "10000"], EVENTS
     ),
     "chained_modular(10**3, 10)": (
-        "chained_modular",
-        [10**3, 10],
-        ["--functional", "chained-modular", "--m", "1000", "--d", "10"],
+        ["local-bound", "--functional", "chained-modular", "--m", "1000", "--d", "10"], EVENTS
+    ),
+    # one random generator per restart
+    "optimize_violation(chsh(), restarts=10**9)": (
+        ["maximize", "--functional", "chsh", "--restarts", str(10**9)],
+        "restarts must be an integer in 1..65536, got 1000000000",
     ),
 }
 
@@ -143,10 +149,10 @@ resource.setrlimit(resource.RLIMIT_AS, (soft if hard < 0 else min(soft, hard), h
 import bellcert
 from bellcert.cli import main
 out = {}
-for label, (name, args, argv) in json.loads(sys.argv[1]).items():
+for call, (argv, _) in json.loads(sys.argv[1]).items():
     tracemalloc.start()
     try:
-        getattr(bellcert, name)(*args)
+        eval(call, vars(bellcert))
         error = None
     except Exception as exc:
         error = type(exc).__name__
@@ -155,11 +161,11 @@ for label, (name, args, argv) in json.loads(sys.argv[1]).items():
     stdout, stderr = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(["local-bound", *argv])
+            code = main(argv)
     except Exception as exc:
         code = type(exc).__name__
     err = stderr.getvalue().splitlines()
-    out[label] = {"error": error, "peak": peak, "code": code, "out": stdout.getvalue(), "err": err}
+    out[call] = {"error": error, "peak": peak, "code": code, "out": stdout.getvalue(), "err": err}
 print(json.dumps(out))
 """
 
@@ -171,13 +177,13 @@ def refusals():
 
 @pytest.mark.parametrize("label", OVERSIZED)
 def test_oversized_named_functional_is_refused_before_it_is_allocated(refusals, label):
-    got = refusals[label]
+    got, ending = refusals[label], OVERSIZED[label][1]
     assert got["error"] == "ValidationError"
     assert got["peak"] < 64 * 2**10
     assert got["code"] == 1 and not got["out"] and len(got["err"]) == 1
     error = json.loads(got["err"][0])
     assert error["code"] == "invalid-input"
-    assert error["message"].endswith("joint events, above the 16777216 a document may have")
+    assert error["message"].endswith(ending)
 
 
 def test_the_size_check_accepts_exactly_the_largest_documents():

@@ -296,6 +296,23 @@ class TestOneErrorPath:
     def test_empty_file_name_is_an_io_error(self, capsys):
         assert_error(run_cli(capsys, "local-bound", "--file", ""), 1, "io")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # Python parses no integer literal past its digit limit (640 in this suite)
+            '{"settings": [2, 2], "outcomes": 2, "c_num": 1%s, "terms": []}' % ("0" * 699),
+            b"\xff\xfe{}",
+            '{"settings": [2, 2],',
+        ],
+        ids=["700-digit-literal", "not-utf-8", "malformed"],
+    )
+    def test_an_unparsable_file_is_one_io_line(self, capsys, tmp_path, text):
+        path = tmp_path / "f.json"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        result = run_cli(capsys, "local-bound", "--file", str(path))
+        assert_error(result, 1, "io")
+        assert len(result[2].splitlines()) == 1
+
     def test_empty_query_is_malformed(self, capsys):
         result = run_cli(capsys, "certify", "--functional", "chsh", "--query", "")
         assert_error(result, 2, "usage")

@@ -25,6 +25,7 @@ from bellcert import (
     from_correlator_terms,
     functional_from_dict,
     functional_to_dict,
+    local_bound,
     marginal,
     mermin,
     model_from_dict,
@@ -111,6 +112,9 @@ def test_error_names_the_argument_and_the_value():
     message = r"^phase of party 0 must be a real number, got \[0\.0\]$"
     with pytest.raises(ValidationError, match=message):
         phase_measurement_model(2, 3, [[0.0], [0.1]], [[0.1], [0.2]])
+    message = r"^restarts must be an integer in 1\.\.65536, got 65537$"
+    with pytest.raises(ValidationError, match=message):
+        optimize_violation(chsh(), restarts=2**16 + 1)
 
 
 def test_a_non_integer_in_a_document_is_malformed():
@@ -149,3 +153,19 @@ def test_numpy_integers_are_accepted():
         chsh(), restarts=np.int64(2), max_iters=np.int64(50), seed=np.uint8(3)
     )
     assert type(result.seed) is int and result.seed == 3
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SC.input_tuple(10**5000), r"joint input index .* in 0\.\.3, got about 2\^16609"),
+        (lambda: SC.input_index((0, 10**700)), r"setting of party 1 .*, got about 2\^2325"),
+        (lambda: local_bound(chsh(), max_listed=-(10**5000)), r"max_listed .* about -2\^16609"),
+    ],
+    ids=["input-tuple", "input-index", "negative-max-listed"],
+)
+def test_a_huge_rejected_integer_is_named_by_its_power_of_two(call, message):
+    """Python writes no integer past its digit limit (640 digits in this suite)
+    in decimal, so a huge rejected value reads as "about 2^k" or "about -2^k"."""
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call()

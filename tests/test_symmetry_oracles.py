@@ -413,9 +413,9 @@ def test_generator_pass_skips_products_of_earlier_generators(
     random half (where products may be missing), in search order or
     shuffled, with identities and repeats inserted or not, it keeps exactly
     the recount's generators and closes to the breadth-first orbits of the
-    whole list.  Each skipped generator is a @ k for entries a and k listed
-    before it, the same rows mark the same in int64 and in the narrow dtype,
-    and a non-symmetry planted anywhere still raises."""
+    whole list.  Each skipped generator is a @ k for its predecessor a and an
+    entry k listed before it, the same rows mark the same in int64 and in the
+    narrow dtype, and a non-symmetry planted anywhere still raises."""
     sc = functional.scenario
     found = find_symmetries(functional, include_party_perms=include_party_perms)
     rng = np.random.default_rng(seed)
@@ -431,9 +431,9 @@ def test_generator_pass_skips_products_of_earlier_generators(
     with patched:
         cert = certify_uniform(functional, generators, JointQuery(sc.input_tuple(0)))
         rows = np.array([g._images for g in generators])
-        marked = np.flatnonzero(_products(sc, rows))
+        marked = np.flatnonzero(_products(rows))
         # certification hands the pass its rows in the narrowest dtype that holds them
-        narrow = np.flatnonzero(_products(sc, rows.astype(np.min_scalar_type(rows.shape[1]))))
+        narrow = np.flatnonzero(_products(rows.astype(np.min_scalar_type(rows.shape[1]))))
     assert np.array_equal(narrow, marked)
     assert cert.generators == tuple(recount_reduce(generators))
     n_joint, n_marg = sc.num_inputs * sc.num_outcomes, _marginal_offsets(sc)[-1]
@@ -446,8 +446,7 @@ def test_generator_pass_skips_products_of_earlier_generators(
     for i, g in enumerate(generators):
         first.setdefault(g, i)
     for i in marked:
-        g = generators[i]
-        assert any(first.get(a.inverse() @ g, i) < i for a in generators[:i])
+        assert first.get(generators[i - 1].inverse() @ generators[i], i) < i
 
     candidates = (random_relabeling(sc, rng) for _ in range(20))
     planted = next((h for h in candidates if not is_symmetry(h, functional)), None)
@@ -455,6 +454,17 @@ def test_generator_pass_skips_products_of_earlier_generators(
         generators.insert(int(rng.integers(len(generators) + 1)), planted)
         with patched, pytest.raises(ValidationError, match="not a symmetry"):
             certify_uniform(functional, generators)
+
+
+@pytest.mark.parametrize(
+    "n, include_party_perms, gathered",
+    [(4, False, 7), (5, False, 9), (7, False, 13), (3, True, 7), (4, True, 11), (5, True, 15)],
+)
+def test_search_ordered_hits_leave_few_rows_to_gather(n, include_party_perms, gathered):
+    """Consecutive hits of the search mostly differ by one of its first hits,
+    so of mermin(7)'s 8191 symmetries the pass gathers 13."""
+    rows = _symmetry_rows(mermin(n), include_party_perms)
+    assert np.count_nonzero(~_products(rows)) == gathered
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS + [lifted_chsh_c().scenario])
