@@ -57,7 +57,6 @@ from .scenario import (
     behavior_to_dict,
 )
 from .symmetry import (
-    SearchCapExceededError,
     _orbit_closure,
     _relabeling_dicts,
     _symmetry_rows,
@@ -140,19 +139,23 @@ def _parse_query(text: str, functional: BellFunctional) -> JointQuery | LocalQue
     raise UsageError(f"unknown query kind {kind!r}")
 
 
-def _bound_as_number(bound, log2_den: int) -> float | int:
-    """The exact bound as a JSON number.  A nonzero bound must not round to 0
-    (its functional's common denominator is 2**log2_den); it cannot overflow,
-    as every functional's |C| * num_inputs stays below 2**62."""
-    if bound.denominator == 1:
-        return int(bound)
-    value = float(bound)
-    if value == 0:
+def _bound_fields(functional: BellFunctional, report) -> dict:
+    """A local bound's output fields.  The exact bound is written as a JSON number,
+    which must not round to 0 when nonzero (the functional's common denominator is
+    2**log2_den); it cannot overflow, as every functional's |C| * num_inputs stays
+    below 2**62."""
+    bound = report.bound
+    value = int(bound) if bound.denominator == 1 else float(bound)
+    if bound and value == 0:
         raise ValidationError(
-            f"the local bound over the common denominator 2^{log2_den} is below "
+            f"the local bound over the common denominator 2^{functional.log2_den} is below "
             "the double range"
         )
-    return value
+    return {
+        "bound": value,
+        "maximizer_count": report.maximizer_count,
+        "orientation": functional.orientation,
+    }
 
 
 def _bits_block(cert) -> dict:
@@ -168,12 +171,7 @@ def _bits_block(cert) -> dict:
 def _cmd_local_bound(args: argparse.Namespace) -> dict:
     functional = _build_functional(args)
     report = local_bound(functional, **_given(args, "cap"))
-    out = {
-        "functional": functional.name,
-        "orientation": functional.orientation,
-        "bound": _bound_as_number(report.bound, functional.log2_den),
-        "maximizer_count": report.maximizer_count,
-    }
+    out = {"functional": functional.name, **_bound_fields(functional, report)}
     if args.list_maximizers:
         out["maximizers"] = [[list(p) for p in s] for s in report.maximizers]
     return out
@@ -450,12 +448,7 @@ def _run_demo(name: str, seed: int) -> dict:
     spec = _DEMOS[name]
     functional = spec.functional()
     generators = find_symmetries(functional)
-    bound = local_bound(functional)
-    bound_fields = {
-        "bound": _bound_as_number(bound.bound, functional.log2_den),
-        "maximizer_count": bound.maximizer_count,
-        "orientation": functional.orientation,
-    }
+    bound_fields = _bound_fields(functional, local_bound(functional))
     document = {
         "demo": name,
         "functional": functional_to_dict(functional),
@@ -588,7 +581,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         _emit_error("usage", str(exc))
         return 2
-    except (CapExceededError, SearchCapExceededError) as exc:
+    except CapExceededError as exc:
         _emit_error("cap-exceeded", str(exc))
         return 1
     except (ValidationError, ScenarioMismatchError) as exc:

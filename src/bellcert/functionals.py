@@ -42,7 +42,7 @@ from .scenario import (
     _paired,
     _reading,
     _Repeated,
-    _size,
+    _shown,
     _strategy_outcomes,
     _subset_sums,
     _walsh_hadamard,
@@ -60,10 +60,12 @@ def _as_dyadic(value) -> Fraction:
     try:
         frac = Fraction(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"coefficient {value!r} is not a finite number") from exc
+        raise ValidationError(f"coefficient {_shown(value)} is not a finite number") from exc
     den = frac.denominator
     if den & (den - 1):
-        raise ValidationError(f"coefficient {value!r} is not dyadic (denominator {den})")
+        raise ValidationError(
+            f"coefficient {_shown(value)} is not dyadic (denominator {_shown(den)})"
+        )
     return frac
 
 
@@ -131,7 +133,7 @@ class BellFunctional:
     def _set(self, scenario, table, log2_den, orientation, name) -> None:
         orientation = _choice(orientation, "orientation", ("max", "min"))
         if not isinstance(name, str):
-            raise ValidationError(f"name must be a string, got {name!r}")
+            raise ValidationError(f"name must be a string, got {_shown(name)}")
         # cancel the powers of two every entry shares with 2**log2_den
         bits = int(np.bitwise_or.reduce(table, axis=None))
         shift = min(log2_den, (bits & -bits).bit_length() - 1) if bits else log2_den
@@ -284,7 +286,7 @@ def tilted_chsh(eta: float) -> BellFunctional:
     """CHSH plus ``eta`` times the first-setting marginal of party 0."""
     terms: dict[CorrelatorKey, object] = correlator_terms(chsh())[0]
     terms[((0,), (0,))] = _as_dyadic(eta)
-    return from_correlator_terms(Scenario((2, 2), 2), terms, name=f"tilted-chsh({eta})")
+    return from_correlator_terms(Scenario((2, 2), 2), terms, name=f"tilted-chsh({_shown(eta)})")
 
 
 def chained_modular(m: int, d: int) -> BellFunctional:
@@ -364,7 +366,13 @@ def lifted_chsh_c() -> BellFunctional:
 # --- classical bound by best response ----------------------------------------
 
 class CapExceededError(RuntimeError):
-    """The deterministic-strategy space exceeds the configured cap."""
+    """A job exceeds its cap: :func:`local_bound`'s strategies, or a search's relabelings."""
+
+
+def _check_cap(total: int, cap: int, what: str, error: type = CapExceededError) -> None:
+    """Raise ``error`` naming ``total`` ``what`` and the cap when ``total > cap``."""
+    if total > cap:
+        raise error(f"{_shown(total)} {what} exceed the cap of {_shown(cap)}")
 
 
 @dataclass(frozen=True)
@@ -474,10 +482,7 @@ def local_bound(
     scenario = functional.scenario
     d, settings = scenario.outcomes, scenario.settings
     total = math.prod(d**m for m in settings)
-    if total > cap:
-        raise CapExceededError(
-            f"{_size(total)} deterministic strategies exceed the cap of {_size(cap)}"
-        )
+    _check_cap(total, cap, "deterministic strategies")
     tensor = _paired(scenario, functional.table)
     sign = 1 if functional.orientation == "max" else -1
     best: int | None = None

@@ -46,6 +46,7 @@ from .scenario import (
     _paired,
     _reading,
     _real,
+    _shown,
     _unpaired,
 )
 
@@ -591,7 +592,7 @@ def model_from_dict(data: Mapping) -> QuantumModel:
             state = _pairs_to_complex(data["state_re_im"], (2**scenario.parties,))
             return qubit_model(scenario, state, meas["vectors"])
         if meas["kind"] != "projectors":
-            raise ValidationError(f"malformed model: unknown kind {meas['kind']!r}")
+            raise ValidationError(f"malformed model: unknown kind {_shown(meas['kind'])}")
         dims = tuple(meas["local_dims"])
         state = _pairs_to_complex(data["state_re_im"], (math.prod(dims),))
         blocks = [

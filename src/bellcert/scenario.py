@@ -43,7 +43,7 @@ NO_SIGNALING_TOL = 1e-7
 _GATHER_ELEMENTS = 1 << 16
 # the most joint events (inputs × outcomes) of any scenario, so that every table fits a document
 _DOCUMENT_EVENTS = 1 << 24
-# a refused size or integer is named exactly below this magnitude, and as "about 2^k" from it on
+# a refused integer is named exactly below this magnitude, and as "about 2^k" from it on
 _EXACT_SIZES = 10**100
 
 
@@ -75,9 +75,8 @@ def _integer(value, what: str, low: int | None = None, high: int | None = None) 
     if integral and (low is None or value >= low) and (high is None or value < high):
         return value
     span = "" if low is None else f" >= {low}" if high is None else f" in {low}..{high - 1}"
-    if not integral:
-        raise _Malformed(f"{what} must be an integer{span}, got {value!r}")
-    raise ValidationError(f"{what} must be an integer{span}, got {_size(value)}")
+    error = ValidationError if integral else _Malformed
+    raise error(f"{what} must be an integer{span}, got {_shown(value)}")
 
 
 def _entries(value, what: str, length: int | None = None) -> tuple:
@@ -85,9 +84,9 @@ def _entries(value, what: str, length: int | None = None) -> tuple:
     try:
         entries = tuple(value)
     except TypeError:
-        raise _Malformed(f"{what} must be a sequence, got {value!r}") from None
+        raise _Malformed(f"{what} must be a sequence, got {_shown(value)}") from None
     if length is not None and len(entries) != length:
-        raise ValidationError(f"{what} must have {length} entries, got {value!r}")
+        raise ValidationError(f"{what} must have {length} entries, got {_shown(value)}")
     return entries
 
 
@@ -109,7 +108,7 @@ def _items(value, what: str) -> list[tuple]:
     try:
         return list(value.items())
     except (AttributeError, TypeError):
-        raise _Malformed(f"{what} must be a mapping, got {value!r}") from None
+        raise _Malformed(f"{what} must be a mapping, got {_shown(value)}") from None
 
 
 def _numbers(value, what: str, dtype: type = float, error: type = _Malformed) -> np.ndarray:
@@ -130,7 +129,7 @@ def _real(value, what: str, positive: bool = False, high: float = math.inf) -> f
             return float(number)
     span = "positive" if positive else "a real number"
     span += f" and at most {high:g}" if high < math.inf else ""
-    raise ValidationError(f"{what} must be {span}, got {value!r}")
+    raise ValidationError(f"{what} must be {span}, got {_shown(value)}")
 
 
 def _choice(value, what: str, options: tuple):
@@ -139,17 +138,21 @@ def _choice(value, what: str, options: tuple):
         if value in frozenset(options):
             return value
     options = " or ".join(map(repr, options))
-    raise ValidationError(f"{what} must be {options}, got {value!r}")
+    raise ValidationError(f"{what} must be {options}, got {_shown(value)}")
 
 
-def _size(count: int | None, log2: Fraction = Fraction(0)) -> str:
-    """An integer as an error message names it: in decimal below 10^100 in
-    magnitude, else as "about 2^k" or "about -2^k", k named the same way; a
-    count too large to compute is None, named by its ``log2``."""
-    if count is not None and abs(count) < _EXACT_SIZES:
-        return str(count)
-    sign = "-" if count is not None and count < 0 else ""
-    return f"about {sign}2^{_size(math.floor(log2) if count is None else count.bit_length() - 1)}"
+def _shown(value) -> str:
+    """A value as a refusal names it: an int in decimal below 10^100 in magnitude, else
+    as "about 2^k" or "about -2^k" (k written the same way); anything else by its repr,
+    or by its type name where that repr would pass Python's int-to-string digit limit."""
+    if isinstance(value, int):
+        if abs(value) < _EXACT_SIZES:
+            return str(value)
+        return f"about {'-' if value < 0 else ''}2^{_shown(value.bit_length() - 1)}"
+    try:
+        return repr(value)
+    except ValueError:  # the digit limit
+        return type(value).__name__
 
 
 def _mixed_radix(digits, what: str, radices: Sequence[int], strides: Sequence[int]) -> int:
@@ -202,8 +205,9 @@ class Scenario:
         events = math.prod((m * d) ** t for m, t in runs) if bits <= 400 else None
         if events is None or events > _DOCUMENT_EVENTS:
             log2 = sum(t * Fraction(math.log2(m * d)) for m, t in runs)  # no float overflow
+            count = f"about 2^{_shown(math.floor(log2))}" if events is None else _shown(events)
             raise ValidationError(
-                f"scenario has {_size(events, log2)} joint events, "
+                f"scenario has {count} joint events, "
                 f"above the {_DOCUMENT_EVENTS} a document may have"
             )
         object.__setattr__(self, "settings", tuple(m for m, t in runs for _ in range(t)))

@@ -31,7 +31,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .functionals import BellFunctional, Strategy
+from .functionals import BellFunctional, CapExceededError, Strategy, _check_cap
 from .scenario import (
     _GATHER_ELEMENTS,
     NO_SIGNALING_TOL,
@@ -48,7 +48,7 @@ from .scenario import (
     _queries,
     _query_key,
     _reading,
-    _size,
+    _shown,
     _strategy_digits,
     _subset_rows,
     _warn_if_signaling,
@@ -60,7 +60,7 @@ DEFAULT_SEARCH_CAP = 10**8
 def _check_perm(perm: Sequence[int], size: int, what: str) -> tuple[int, ...]:
     perm = tuple(_integer(p, f"entry of {what}") for p in _entries(perm, what))
     if sorted(perm) != list(range(size)):
-        raise ValidationError(f"{what} {perm} is not a permutation of 0..{size - 1}")
+        raise ValidationError(f"{what} {_shown(perm)} is not a permutation of 0..{size - 1}")
     return perm
 
 
@@ -307,7 +307,7 @@ def is_symmetry(relabeling: Relabeling, functional: BellFunctional) -> bool:
 
 # --- exhaustive symmetry search -----------------------------------------------
 
-class SearchCapExceededError(RuntimeError):
+class SearchCapExceededError(CapExceededError):
     """The relabeling search space exceeds the configured cap."""
 
 
@@ -430,10 +430,7 @@ def _symmetry_rows(
     cap = _integer(cap, "cap", 0)
     scenario = functional.scenario
     total = search_space_size(scenario, include_party_perms)
-    if total > cap:
-        raise SearchCapExceededError(
-            f"{_size(total)} candidate relabelings exceed the cap of {_size(cap)}"
-        )
+    _check_cap(total, cap, "candidate relabelings", SearchCapExceededError)
     d = scenario.outcomes
     images = [_party_images(m, d) for m in scenario.settings]
     counts = [len(local) for local in images]

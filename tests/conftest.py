@@ -16,10 +16,18 @@ from bellcert import (
     deterministic_behavior,
     qubit_model,
 )
+from bellcert.cli import main
 
 # Python's smallest int-to-string limit: a message that writes an unbounded
 # count in decimal fails here instead of only on huge inputs
 sys.set_int_max_str_digits(640)
+
+
+def run_cli(capsys, *argv) -> tuple[int, str, str]:
+    """``bellcert`` run in-process: its exit code, standard output and standard error."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def random_strategy(scenario: Scenario, rng: np.random.Generator):

@@ -10,14 +10,20 @@ import sys
 import pytest
 
 import bellcert
-from bellcert import chsh, functional_to_dict
-from bellcert.cli import main
+from bellcert import (
+    certify_uniform,
+    chsh,
+    deterministic_behavior,
+    evaluate_on_strategy,
+    find_symmetries,
+    functional_to_dict,
+    local_bound,
+    observed_report,
+)
+from bellcert.cli import _cross_check_block
+from bellcert.scenario import _queries
 
-
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+from conftest import run_cli
 
 
 class TestLocalBound:
@@ -27,6 +33,15 @@ class TestLocalBound:
         data = json.loads(out)
         assert data["bound"] == 2
         assert data["maximizer_count"] == 8
+
+    def test_chsh_maximizer_listing(self, capsys):
+        code, out, err = run_cli(capsys, "local-bound", "--functional", "chsh", "--list-maximizers")
+        assert code == 0 and not err
+        listed = json.loads(out)["maximizers"]
+        report = local_bound(chsh())
+        assert len(listed) == 8
+        assert listed == [[list(p) for p in s] for s in report.maximizers]
+        assert all(evaluate_on_strategy(chsh(), s) == report.bound for s in listed)
 
     def test_chained_modular_minimum(self, capsys):
         code, out, _ = run_cli(
@@ -287,6 +302,20 @@ class TestDemos:
         searched.clear()
         _, second, _ = run_cli(capsys, "demo", "mermin-odd", "--seed", "0")
         assert second == first and searched == [3]
+
+    def test_cross_check_reports_certified_bits_above_observed_ones(self):
+        """A deterministic behavior has 0 bits at each local query, where the
+        chsh certificate promises 1: the cross-check must flag every query."""
+        functional = chsh()
+        cert = certify_uniform(functional, find_symmetries(functional))
+        behavior = deterministic_behavior(functional.scenario, ((0, 1), (1, 0)))
+        local = _queries(functional.scenario)[1]
+        reports = {q: observed_report(behavior, q) for q in local}
+        entries = _cross_check_block(cert, behavior, reports)["queries"].values()
+        assert len(entries) == 4
+        for entry in entries:
+            assert (entry["certified_bits"], entry["observed_bits"]) == (1.0, 0.0)
+            assert entry["certified_le_observed"] is False
 
     def test_demo_determinism(self, capsys):
         _, out1, _ = run_cli(capsys, "demo", "chsh", "--seed", "1")

@@ -28,14 +28,14 @@ from bellcert import (
     model_from_dict,
     relabeling_from_dict,
 )
-from bellcert.cli import main
+
+from conftest import run_cli
 
 
 def run(capsys, *argv) -> dict:
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    assert code == 0 and not captured.err
-    return json.loads(captured.out)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and not err
+    return json.loads(out)
 
 
 def test_listing_with_party_perms_reads_back_as_distinct_symmetries(capsys):

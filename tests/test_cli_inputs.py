@@ -12,13 +12,8 @@ from bellcert import (
     functional_to_dict,
     tilted_chsh,
 )
-from bellcert.cli import main
 
-
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+from conftest import run_cli
 
 
 def assert_error(result, code, kind):
@@ -59,7 +54,9 @@ class TestQueryRanges:
 
 
 class TestRandomnessFailsBeforeOptimizing:
-    @pytest.mark.parametrize("query", ["joint:1", "joint:1,1,1,1,1,1,9", "local:8,1", "x"])
+    @pytest.mark.parametrize(
+        "query", ["joint:1", "joint:1,1,1,1,1,1,9", "local:8,1", "local:1", "x"]
+    )
     def test_bad_query_never_reaches_the_see_saw(self, capsys, monkeypatch, query):
         def refuse(*args, **kwargs):
             raise AssertionError("optimize_violation called before the query was checked")
@@ -275,8 +272,14 @@ class TestOneErrorPath:
             ("local-bound", "--functional", "chsh", "--file", "f.json"),
             ("randomness", "--functional", "chsh"),
             ("frobnicate",),
+            # refused after parsing ("--tol must be positive"), as one line too
+            ("maximize", "--functional", "chsh", "--tol", "0"),
+            ("maximize", "--functional", "chsh", "--tol", "-1"),
         ],
-        ids=["cap-abc", "n-fraction", "unknown", "neither", "both", "no-query", "no-command"],
+        ids=[
+            "cap-abc", "n-fraction", "unknown", "neither", "both", "no-query", "no-command",
+            "tol-zero", "tol-negative",
+        ],
     )
     def test_argparse_failure_is_one_json_usage_line(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

@@ -3,6 +3,8 @@
 floats, strings, None, bools and Fractions raise ValidationError, as do
 integers out of range."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -28,11 +30,14 @@ from bellcert import (
     local_bound,
     marginal,
     mermin,
+    min_entropy,
     model_from_dict,
+    model_to_dict,
     optimize_violation,
     outcome_shift,
     phase_measurement_model,
     relabeling_from_dict,
+    tilted_chsh,
     uniform_behavior,
 )
 
@@ -168,4 +173,45 @@ def test_a_huge_rejected_integer_is_named_by_its_power_of_two(call, message):
     """Python writes no integer past its digit limit (640 digits in this suite)
     in decimal, so a huge rejected value reads as "about 2^k" or "about -2^k"."""
     with pytest.raises(ValidationError, match=f"^{message}$"):
+        call()
+
+
+HUGE = 10**700
+PHASE_MODEL = model_to_dict(phase_measurement_model(2, 3, [0.0, 0.5], [0.25, -0.25]))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SC.input_index((0, 0, HUGE)), "settings must have 2 entries, got tuple"),
+        (lambda: Scenario((2, 2), [HUGE]), "outcomes must be an integer >= 2, got list"),
+        (
+            lambda: BellFunctional(SC, {(0, 0): Fraction(1, 3 * HUGE)}),
+            r"coefficient Fraction is not dyadic \(denominator about 2\^2326\)",
+        ),
+        (lambda: BellFunctional(SC, {(0, 0): (0, HUGE)}), "coefficient tuple is not a finite"),
+        (lambda: BellFunctional(SC, {}, name=HUGE), r"name must be a string, got about 2\^2325"),
+        (
+            lambda: BellFunctional(SC, {}, orientation=-HUGE),
+            r"orientation must be 'max' or 'min', got about -2\^2325",
+        ),
+        (
+            lambda: Relabeling(SC, ((0, 1), (0, 1)), HALF_BLOCKS[1], party_perm=(0, HUGE)),
+            "party permutation tuple is not a permutation",
+        ),
+        (
+            lambda: model_from_dict({**PHASE_MODEL, "measurements": {"kind": HUGE}}),
+            r"malformed model: unknown kind about 2\^2325",
+        ),
+        (lambda: min_entropy(HUGE), r"guessing probability .*, got about 2\^2325"),
+        (lambda: tilted_chsh(HUGE), "coefficients over their common denominator"),
+    ],
+    ids=[
+        "entries", "integer", "dyadic", "finite", "name", "choice", "permutation", "model-kind",
+        "real", "tilted-chsh",
+    ],
+)
+def test_a_refusal_names_a_value_past_the_digit_limit_without_writing_it(call, message):
+    """An integer is named by its power of two; a value that holds one, by its type."""
+    with pytest.raises(ValidationError, match=f"^{message}"):
         call()

@@ -320,6 +320,16 @@ def _scalar_row():
     return data
 
 
+def _too_few_inputs():
+    return dict(behavior_dict(), settings=[2])
+
+
+def _short_row():
+    data = behavior_dict()
+    data["table"]["x=0"] = [1.0]
+    return data
+
+
 def _list_table():
     return {"settings": [1], "outcomes": 2, "table": [[0.5, 0.5]]}
 
@@ -366,10 +376,12 @@ class TestDictReaders:
             (_integer_key, "malformed behavior: AttributeError"),
             (_seven_parties(behavior_dict), "party count does not match the settings list"),
             (_huge_scenario(behavior_dict), "scenario has 4000000000000 joint events, above"),
+            (_too_few_inputs, "table has 1 inputs, scenario needs 2"),
+            (_short_row, "row 'x=0' has 1 entries"),
         ],
         ids=[
             "empty", "letter-key", "scalar-row", "list-table", "integer-key", "seven-parties",
-            "huge",
+            "huge", "too-few-inputs", "short-row",
         ],
     )
     def test_malformed_behavior(self, make, message):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellcert import (
+    Behavior,
     Scenario,
     SignalingWarning,
     ValidationError,
@@ -101,6 +102,19 @@ class TestBehaviorConstruction:
         with pytest.raises(ValidationError, match="entries"):
             behavior_from_table(Scenario((2, 2), 2), np.zeros((4, 3)))
 
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ([[0.5, 0.5, 0.0]], r"^table shape \(1, 3\) does not match scenario shape \(1, 2\)$"),
+            ([[np.inf, 0.0]], "^table contains non-finite entries$"),
+            ([[1.5, 0.0]], "^probability 1.5 exceeds 1$"),
+        ],
+        ids=["shape", "non-finite", "above-one"],
+    )
+    def test_bad_table_is_refused(self, table, message):
+        with pytest.raises(ValidationError, match=message):
+            Behavior(Scenario((1,), 2), table)
+
     def test_table_immutable(self):
         b = uniform_behavior(Scenario((2,), 2))
         with pytest.raises(ValueError):
@@ -131,6 +145,18 @@ class TestCorrelators:
         assert b.prob((0, 0), (0, 0)) == pytest.approx(0.5)
         assert b.prob((0, 0), (1, 1)) == pytest.approx(0.5)
         assert b.prob((0, 0), (0, 1)) == pytest.approx(0.0)
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({}, r"\(1 missing, 0 unexpected\)$"),
+            ({((0,), (0,)): 0.5, ((), ()): 1.0}, r"\(0 missing, 1 unexpected\)$"),
+        ],
+        ids=["missing", "extra"],
+    )
+    def test_keys_must_match_the_scenario(self, values, message):
+        with pytest.raises(ValidationError, match=message):
+            CorrelatorForm(Scenario((1,), 2), values)
 
     def test_out_of_range_correlator_rejected(self):
         sc = Scenario((1,), 2)
@@ -243,6 +269,8 @@ class TestMarginal:
             marginal(b, (2,), (0,))
         with pytest.raises(ValidationError):
             marginal(b, (0,), (5,))
+        with pytest.raises(ValidationError, match=r"^party subset \(1, 0\) must be strictly"):
+            marginal(b, (1, 0), (0, 0))
 
 
 class TestBehaviorJson:

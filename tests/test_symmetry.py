@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellcert import (
+    CapExceededError,
     JointQuery,
     LocalQuery,
     Relabeling,
@@ -311,8 +312,10 @@ class TestFindSymmetries:
         assert any(g.party_perm == (1, 0) for g in with_swap)
 
     def test_cap(self):
-        with pytest.raises(SearchCapExceededError):
+        message = "^64 candidate relabelings exceed the cap of 10$"
+        with pytest.raises(SearchCapExceededError, match=message):
             find_symmetries(chsh(), cap=10)
+        assert issubclass(SearchCapExceededError, CapExceededError)  # one class for every cap
 
     def test_shift_found_for_chained(self):
         for m, d in [(2, 3), (3, 2)]:
